@@ -346,7 +346,7 @@ def relabel_seq(seq: BlowupSeq, i: int) -> BlowupSeq:
     return BlowupSeq(seq.base, tuple(out))
 
 
-def _stage_of(t: Tower, stage: str):
+def _stage_of(stage: str):
     return {"x": 0, "y": 1, "z": 2}[stage]
 
 
@@ -378,7 +378,7 @@ def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
         raise ValueError("full triple space needs tower depth 2")
     sym = symmetric_triple_seq(t, stage)
     space, _ = replay(sym)
-    dt = reduce(t, _stage_of(t, stage))
+    dt = reduce(t, _stage_of(stage))
     dbl = double_space(dt)
     projections = tuple(_triple_projection(t, stage, i, space, dbl)
                         for i in (1, 2, 3))
@@ -389,14 +389,14 @@ def _triple_projection(t: Tower, stage: str, i: int, sym_space: Space,
                        dbl: ASpaceDouble) -> BMap:
     com1 = commuted_triple_seq(t, stage)
     com = relabel_seq(com1, i) if i != 1 else com1
-    prefix_len = _stage_of(t, stage) + 1
+    prefix_len = _stage_of(stage) + 1
     top, maps = replay(com)
     chain = maps[-1]
     for beta in reversed(maps[prefix_len:-1]):
         chain = compose(chain, beta)
     prefix, _ = replay(com, prefix_len)
     left, right = _image_factors(i)
-    ffs = double_face_names(_stage_of(t, stage))[2:]
+    ffs = double_face_names(_stage_of(stage))[2:]
     entries = [(f"H_{left}", "lf", 1), (f"H_{right}", "rf", 1)]
     chain_names = [f"E_{{{i},x}}", f"E_{{{i},y}}", f"E_{{{i},z}}"]
     for name, ff in zip(chain_names[:prefix_len], ffs):
@@ -408,13 +408,6 @@ def _triple_projection(t: Tower, stage: str, i: int, sym_space: Space,
     if set(full.domain.face_names) != set(sym_space.face_names):
         raise cs.EngineUnsupported("commuted replay face names diverged")
     return bmap_from_entries(sym_space, dbl.space, full.exponents)
-
-
-def triple_projections(t: Tower, i: int, stage: str = "z") -> BMap:
-    """The index-i projection of the stage triple space."""
-    if i not in (1, 2, 3):
-        raise ValueError("projection index must be 1, 2 or 3")
-    return triple_space(t, stage).projections[i - 1]
 
 
 def face_table(proj: BMap) -> dict:

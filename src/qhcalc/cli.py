@@ -27,9 +27,34 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
 
-def _load_tower(path: str) -> Tower:
+class UsageError(Exception):
+    """Bad command-line input; reported in one line with exit code 2."""
+
+
+def _read_json(path: str):
     with open(path) as fh:
-        return Tower.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise UsageError(f"{path} is not JSON: {e}") from None
+
+
+def _load_tower(path: str) -> Tower:
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: a tower config is a JSON object")
+    try:
+        return Tower.from_json(data)
+    except KeyError as e:
+        raise UsageError(f"{path}: tower config needs key {e}") from None
+
+
+def _rational(option: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{option} needs a rational number, got {text!r}") \
+            from None
 
 
 def _emit(args, text: str):
@@ -189,8 +214,7 @@ def _weight_sweep(t: Tower, rng: random.Random, count: int) -> dict:
 
 
 def _load_class(t: Tower, path: str) -> oc.OperatorClass:
-    with open(path) as fh:
-        return oc.class_from_json(t, json.load(fh))
+    return oc.class_from_json(t, _read_json(path))
 
 
 def cmd_compose(args) -> int:
@@ -212,8 +236,7 @@ def cmd_compose(args) -> int:
 def cmd_act(args) -> int:
     t = _load_tower(args.config)
     P = _load_class(t, args.P)
-    with open(args.I) as fh:
-        I = ia.indexset_from_json(json.load(fh)["set"])
+    I = ia.indexset_from_json(_read_json(args.I)["set"])
     try:
         out = oc.act(P, I)
     except oc.NonIntegrable as e:
@@ -226,9 +249,10 @@ def cmd_act(args) -> int:
 
 def cmd_parametrix(args) -> int:
     t = _load_tower(args.config)
-    led = oc.parametrix_ledger(t, Fraction(args.m))
+    m = _rational("-m", args.m)
+    led = oc.parametrix_ledger(t, m)
     ok = led.verify()
-    data = {"order": str(Fraction(args.m)), "verified": ok,
+    data = {"order": str(m), "verified": ok,
             "steps": oc.ledger_to_json(led)}
     if args.format == "json":
         _emit(args, json.dumps(data, indent=2, sort_keys=True))
@@ -245,8 +269,7 @@ def cmd_parametrix(args) -> int:
 
 
 def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     nm = t.b + sum(t.f)
     terms = {}
     for item in data["terms"]:
@@ -327,11 +350,13 @@ def cmd_resolvent_check(args) -> int:
     try:
         re0, re2, im = parse_lambda(args.lam)
     except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(str(e)) from None
+    radius = _rational("--radius", args.radius)
+    step = _rational("--step", args.step)
+    if step <= 0 or radius < 0:
+        raise UsageError("--step must be positive and --radius nonnegative")
     r = ms.resolvent_model_check(t, re0, re2, im, N=args.N,
-                                 radius=Fraction(args.radius),
-                                 step=Fraction(args.step))
+                                 radius=radius, step=step)
     if r["invertible"]:
         _emit(args, f"fully elliptic; margin {r['margin']:.12g}")
         return 0
@@ -449,6 +474,9 @@ def main(argv=None) -> int:
         return func(args)
     except FileNotFoundError as e:
         print(f"cannot read {e.filename}", file=sys.stderr)
+        return USAGE_ERROR
+    except UsageError as e:
+        print(str(e), file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, cs.BlowupError, cs.RewriteError) as e:
         print(str(e), file=sys.stderr)

@@ -25,13 +25,29 @@ projective coordinates of a single blowup step:
   feasibility problem on vanishing rates;
 * two loci are certified disjoint when their face sets cannot meet, or
   when some blown-up center provably contains their intersection.
+
+Representation.  Values are immutable and index themselves once, when
+built.  A `Merge` keeps its per-level partitions plus the set of its
+(level, pair) merges and each pair's deepest merged level, so `leq`,
+`eq` and `maxlevel` are lookups; the deepest level alone would not do,
+as `from_pairs` and `reduce_by` can merge a pair at a level but not at
+a shallower one.  `join` is a per-level union-find with a bounded cache.
+A `Face` keeps its valuations in a dict; a `Space` indexes faces by name
+and keeps its strata as bitmasks over face positions (faces are only
+appended), so `meets`, `neighborhood` and `face_closure` are bit work.
+
+Memo scope.  `canon_merge`, `face_closure` and `neighborhood` are pure,
+and are memoized inside a scope that `blowup`, `Space.disjoint` or
+`Space.psub_meets` opens on its space; nested scopes share it and it is
+dropped when the outermost returns.  A memo kept as long as its space
+would live in the replay cache with it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 INF = float("inf")
@@ -58,16 +74,25 @@ def _symkey(s):
 # ---------------------------------------------------------------------------
 # merge specifications: one partition of the factor set per coordinate level
 
-def _join_partition(blocks_a, blocks_b):
-    groups = [set(b) for b in blocks_a] + [set(b) for b in blocks_b]
-    merged = []
+def _partition(groups) -> frozenset:
+    """Union-find closure of the groups; blocks of size < 2 are dropped."""
+    parent = {}
+
+    def find(i):
+        parent.setdefault(i, i)
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
     for g in groups:
-        hit = [m for m in merged if m & g]
-        for m in hit:
-            merged.remove(m)
-            g |= m
-        merged.append(g)
-    return frozenset(frozenset(g) for g in merged if len(g) >= 2)
+        g = list(g)
+        for x in g[1:]:
+            parent[find(x)] = find(g[0])
+    blocks = {}
+    for x in parent:
+        blocks.setdefault(find(x), set()).add(x)
+    return frozenset(frozenset(b) for b in blocks.values() if len(b) >= 2)
 
 
 @dataclass(frozen=True)
@@ -75,14 +100,39 @@ class Merge:
     """Per-level partitions of the factor set (blocks of size >= 2 only).
 
     Level -1 is the boundary scale, levels 0..k the fibre levels.  A
-    block at level l means the factors agree through that level.
+    block at level l means the factors agree through that level.  Blocks
+    are kept sorted by level, without empty levels.
     """
 
     blocks: tuple  # tuple of (level, frozenset-of-frozensets), sorted
+    _at: dict = field(init=False, repr=False, compare=False)
+    _pairs: frozenset = field(init=False, repr=False, compare=False)
+    _deep: dict = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        blocks = tuple(sorted((lb for lb in self.blocks if lb[1]),
+                              key=lambda lb: lb[0]))
+        pairs, deep = set(), {}
+        for l, blks in blocks:
+            for b in blks:
+                for p in itertools.combinations(sorted(b), 2):
+                    p = frozenset(p)
+                    pairs.add((l, p))
+                    deep[p] = max(deep.get(p, -2), l)
+        set_ = functools.partial(object.__setattr__, self)
+        set_("blocks", blocks)
+        set_("_at", dict(blocks))
+        set_("_pairs", frozenset(pairs))
+        set_("_deep", deep)
+        set_("_hash", hash(blocks))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def trivial() -> "Merge":
-        return Merge(())
+        return _TRIVIAL
 
     @staticmethod
     def diag(factors, top_level: int) -> "Merge":
@@ -97,56 +147,36 @@ class Merge:
         """Build from an iterable of (level, pair)."""
         by_level = {}
         for l, p in level_pairs:
-            by_level.setdefault(l, []).append(frozenset(p))
-        out = []
-        for l in sorted(by_level):
-            b = _join_partition(by_level[l], [])
-            if b:
-                out.append((l, b))
-        return Merge(tuple(out))
+            by_level.setdefault(l, []).append(p)
+        return Merge(tuple((l, _partition(ps)) for l, ps in by_level.items()))
 
     def at(self, level: int) -> frozenset:
-        for l, b in self.blocks:
-            if l == level:
-                return b
-        return frozenset()
+        return self._at.get(level, frozenset())
 
     @property
     def trivial_p(self) -> bool:
         return not self.blocks
 
     def levels(self):
-        return sorted(l for l, _ in self.blocks)
+        return [l for l, _ in self.blocks]
 
     def join(self, other: "Merge") -> "Merge":
-        levels = set(self.levels()) | set(other.levels())
-        out = []
-        for l in sorted(levels):
-            b = _join_partition(self.at(l), other.at(l))
-            if b:
-                out.append((l, b))
-        return Merge(tuple(out))
+        if other._pairs <= self._pairs:
+            return self
+        if self._pairs <= other._pairs:
+            return other
+        return _join(self, other)
 
     def leq(self, other: "Merge") -> bool:
         """True if every merge of self is implied by other."""
-        for l, blks in self.blocks:
-            ob = other.at(l)
-            for b in blks:
-                if not any(b <= o for o in ob):
-                    return False
-        return True
+        return self._pairs <= other._pairs
 
     def eq(self, other: "Merge") -> bool:
-        return self.leq(other) and other.leq(self)
+        return self._pairs == other._pairs
 
     def maxlevel(self, pair) -> int:
         """Deepest level merging the pair (-2 if never)."""
-        p = frozenset(pair)
-        out = -2
-        for l, blks in self.blocks:
-            if any(p <= b for b in blks):
-                out = max(out, l)
-        return out
+        return self._deep.get(frozenset(pair), -2)
 
     def pairs_at_level(self, level: int):
         for b in self.at(level):
@@ -154,12 +184,7 @@ class Merge:
                         for p in itertools.combinations(sorted(b), 2))
 
     def all_pairs(self):
-        seen = set()
-        for l, blks in self.blocks:
-            for b in blks:
-                for p in itertools.combinations(sorted(b), 2):
-                    seen.add(frozenset(p))
-        return seen
+        return set(self._deep)
 
     def reduce_by(self, absorbed: "Merge") -> "Merge":
         """Drop the merges already realized at least as deep in `absorbed`.
@@ -167,25 +192,26 @@ class Merge:
         Kept pairs are re-joined level by level, so partially absorbed
         blocks survive as their quotient structure.
         """
-        kept = []
-        for l, blks in self.blocks:
-            for b in blks:
-                for p in itertools.combinations(sorted(b), 2):
-                    pr = frozenset(p)
-                    if absorbed.maxlevel(pr) < self.maxlevel(pr):
-                        kept.append((l, pr))
-        return Merge.from_pairs(kept)
+        return Merge.from_pairs(
+            (l, p) for l, p in self._pairs
+            if absorbed.maxlevel(p) < self._deep[p])
 
     def canonical_key(self):
         return tuple((l, tuple(sorted(tuple(sorted(b)) for b in blks)))
                      for l, blks in self.blocks)
 
 
+_TRIVIAL = Merge(())
+
+
+@functools.lru_cache(maxsize=4096)
+def _join(a: Merge, b: Merge) -> Merge:
+    return Merge(tuple((l, _partition(itertools.chain(a.at(l), b.at(l))))
+                       for l in a._at.keys() | b._at.keys()))
+
+
 def merge_join_all(merges) -> Merge:
-    out = Merge.trivial()
-    for m in merges:
-        out = out.join(m)
-    return out
+    return functools.reduce(Merge.join, merges, _TRIVIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -224,38 +250,33 @@ class PSub:
     locus: Locus
     order: float = INF
 
-    @property
-    def vanishing_bhs(self):
-        return self.locus.faces
-
-    @property
-    def vanishing_interior(self):
-        return self.locus.merge
-
 
 # ---------------------------------------------------------------------------
 # exact feasibility of vanishing-rate systems (tiny Fourier-Motzkin)
 
 def _fm_feasible(rows, n):
-    """Feasibility of {t in Q^n : row . (t, 1) >= 0 for all rows}."""
-    rows = [tuple(Fraction(c) for c in r) for r in rows]
+    """Feasibility of {t in Q^n : row . (t, 1) >= 0 for all rows}.
+
+    Eliminations only multiply and add, so integer rows stay exact.
+    """
     for var in range(n):
-        pos, neg, rest = [], [], []
+        pos, neg, new = [], [], []
         for r in rows:
             c = r[var]
-            if c > 0:
-                pos.append(r)
-            elif c < 0:
-                neg.append(r)
-            else:
-                rest.append(r)
-        new = rest
+            (pos if c > 0 else neg if c < 0 else new).append(r)
         for rp in pos:
             for rn in neg:
-                new.append(tuple(rp[i] * (-rn[var]) + rn[i] * rp[var]
-                                 for i in range(len(rp))))
+                a, b = -rn[var], rp[var]
+                new.append(tuple(x * a + y * b for x, y in zip(rp, rn)))
         rows = new
     return all(r[-1] >= 0 for r in rows)
+
+
+def _unit_row(n, k, const=0):
+    """Row of t_k + const >= 0 over n rate variables."""
+    row = [0] * (n + 1)
+    row[k], row[-1] = 1, const
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +290,13 @@ class Face:
     v: tuple                       # sorted ((symbol, order), ...)
     merged: Merge
     center: Optional[Locus] = None
+    _vals: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_vals", dict(self.v))
 
     def val(self, symbol) -> int:
-        for s, o in self.v:
-            if s == symbol:
-                return o
-        return 0
+        return self._vals.get(symbol, 0)
 
     @property
     def is_front(self) -> bool:
@@ -289,6 +311,33 @@ class Step:
     rank: int                      # interior rank of the residual cut
 
 
+def _memo_scope(fn):
+    """Open a memo scope on the space (first argument) while fn runs."""
+    @functools.wraps(fn)
+    def wrapper(space, *args, **kwargs):
+        if space._memo is not None:
+            return fn(space, *args, **kwargs)
+        object.__setattr__(space, "_memo", {})
+        try:
+            return fn(space, *args, **kwargs)
+        finally:
+            object.__setattr__(space, "_memo", None)
+    return wrapper
+
+
+def _memoized(method):
+    """Memoize a one-argument Space method while a memo scope is open."""
+    @functools.wraps(method)
+    def wrapper(self, arg):
+        memo, key = self._memo, (method.__name__, arg)
+        if memo is None:
+            return method(self, arg)
+        if key not in memo:
+            memo[key] = method(self, arg)
+        return memo[key]
+    return wrapper
+
+
 @dataclass(frozen=True)
 class Space:
     """Immutable corner space; blowups return new values."""
@@ -301,56 +350,77 @@ class Space:
     diag_meets: tuple              # (((factors, level), face-set), ...)
     registry: tuple                # ((name, PSub), ...)
     history: tuple = ()
+    _index: dict = field(init=False, repr=False, compare=False)
+    _strata: tuple = field(init=False, repr=False, compare=False)
+    _gt: dict = field(init=False, repr=False, compare=False)
+    _hist: tuple = field(init=False, repr=False, compare=False)
+    _memo: Optional[dict] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        set_ = functools.partial(object.__setattr__, self)
+        set_("_index", {f.name: k for k, f in enumerate(self.faces)})
+        set_("_memo", None)
+        set_("_strata", tuple(self._mask(m) for m in self.strata))
+        # (i, j) -> faces where x_i vanishes to higher order than x_j
+        set_("_gt", {(i, j): sum(1 << k for k, f in enumerate(self.faces)
+                                 if f.val(("x", i)) > f.val(("x", j)))
+                     for i, j in itertools.permutations(
+                         range(1, self.n_factors + 1), 2)})
+        set_("_hist", tuple((1 << self._index[st.label],
+                             self._mask(st.center.faces), st.center.merge)
+                            for st in self.history))
 
     # -- basic queries --------------------------------------------------
 
     def face(self, name: str) -> Face:
-        for f in self.faces:
-            if f.name == name:
-                return f
-        raise KeyError(name)
+        return self.faces[self._index[name]]
 
     @property
     def face_names(self):
-        return tuple(f.name for f in self.faces)
+        return tuple(self._index)
 
     def val(self, face_name: str, symbol) -> int:
         return self.face(face_name).val(symbol)
 
     def dim_of_level(self, level: int) -> int:
-        for l, d in self.dims:
-            if l == level:
-                return d
-        raise KeyError(level)
+        return dict(self.dims)[level]
 
     @property
     def levels(self):
         return tuple(l for l, _ in self.dims)
 
+    def _mask(self, face_names) -> int:
+        out = 0
+        for f in face_names:
+            out |= 1 << self._index[f]
+        return out
+
+    def _names(self, mask: int) -> list:
+        return [f.name for k, f in enumerate(self.faces) if mask >> k & 1]
+
     def meets(self, face_names) -> bool:
-        s = frozenset(face_names)
-        return any(s <= m for m in self.strata)
+        try:
+            s = self._mask(face_names)
+        except KeyError:
+            return False
+        return any(s & m == s for m in self._strata)
 
     def diag_meet_set(self, factors, level) -> frozenset:
-        key = (frozenset(factors), level)
-        for k, v in self.diag_meets:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return dict(self.diag_meets)[frozenset(factors), level]
 
     def registered(self, name: str) -> PSub:
-        for n, p in self.registry:
-            if n == name:
-                return p
-        raise KeyError(name)
+        return dict(self.registry)[name]
+
+    @_memoized
+    def _nbr(self, mask: int) -> int:
+        out = 0
+        for m in self._strata:
+            if m & mask == mask:
+                out |= m
+        return out & ~mask
 
     def neighborhood(self, face_names) -> list:
-        s = frozenset(face_names)
-        out = []
-        for f in self.face_names:
-            if f not in s and any((s | {f}) <= m for m in self.strata):
-                out.append(f)
-        return out
+        return self._names(self._nbr(self._mask(face_names)))
 
     # -- rate feasibility ------------------------------------------------
 
@@ -359,37 +429,29 @@ class Space:
         merged boundary coordinates keep equal rates?  Infeasibility
         proves the region empty; feasibility proves nothing."""
         supp = list(dict.fromkeys(list(required) + list(optional)))
-        idx = {f: i for i, f in enumerate(supp)}
-        n = len(supp)
-        req = set(required)
-        rows = []
-        for f in supp:
-            row = [Fraction(0)] * (n + 1)
-            row[idx[f]] = Fraction(1)
-            row[-1] = Fraction(-1) if f in req else Fraction(0)
-            rows.append(tuple(row))
+        n, req = len(supp), set(required)
+        rows = [_unit_row(n, k, -(f in req)) for k, f in enumerate(supp)]
         for block in merge.at(-1):
-            bl = sorted(block)
-            i0 = bl[0]
-            for i in bl[1:]:
-                row = [Fraction(0)] * (n + 1)
-                for f in supp:
-                    row[idx[f]] = Fraction(self.val(f, ("x", i))
-                                           - self.val(f, ("x", i0)))
-                rows.append(tuple(row))
-                rows.append(tuple(-c for c in row))
+            i0, *rest = sorted(block)
+            for i in rest:
+                row = [self.val(f, ("x", i)) - self.val(f, ("x", i0))
+                       for f in supp] + [0]
+                rows += [row, [-c for c in row]]
         return _fm_feasible(rows, n)
 
     # -- derived locus predicates -----------------------------------------
 
+    def _faces_merged(self, faces) -> Merge:
+        return merge_join_all(self.face(f).merged for f in faces)
+
+    @_memoized
     def canon_merge(self, locus: Locus) -> Merge:
         """Locus merge completed by the merged data of its faces.
 
         Points of the locus inherit every infinitesimal agreement
         carried by a face they lie on.
         """
-        return locus.merge.join(
-            merge_join_all(self.face(f).merged for f in locus.faces))
+        return locus.merge.join(self._faces_merged(locus.faces))
 
     def face_closure(self, locus: Locus) -> frozenset:
         """Faces provably containing the locus.
@@ -399,66 +461,69 @@ class Space:
         compensating face; and the front face of any past step whose
         center is implied by the locus contains the lift.
         """
-        cl = set(locus.faces)
+        return frozenset(self._names(self._closure(locus)))
+
+    @_memoized
+    def _closure(self, locus: Locus) -> int:
+        """`face_closure` as a face mask."""
+        cl = self._mask(locus.faces)
         cm = self.canon_merge(locus)
+        pairs = [sorted(p) for p in cm.pairs_at_level(-1)]
+        implied = [(bit, cmask) for bit, cmask, m in self._hist if m.leq(cm)]
+        gt = self._gt
         changed = True
         while changed:
             changed = False
-            for pair in cm.pairs_at_level(-1):
-                i, j = sorted(pair)
-                for h in list(cl):
-                    di = self.val(h, ("x", i)) - self.val(h, ("x", j))
-                    if di == 0:
+            for i, j in pairs:
+                rest = cl
+                while rest:
+                    h = rest & -rest
+                    rest ^= h
+                    if h & gt[j, i]:
+                        lo, hi = i, j
+                    elif h & gt[i, j]:
+                        lo, hi = j, i
+                    else:
                         continue
-                    lo, hi = (i, j) if di < 0 else (j, i)
-                    cands = [f for f in self.neighborhood(cl)
-                             if self.val(f, ("x", lo)) > self.val(f, ("x", hi))]
-                    if len(cands) == 1 and cands[0] not in cl:
-                        cl.add(cands[0])
+                    cands = self._nbr(cl) & gt[lo, hi]
+                    if cands and not cands & (cands - 1) and not cands & cl:
+                        cl |= cands
                         changed = True
-            for st in self.history:
-                if st.label in cl:
-                    continue
-                if st.center.faces <= cl and st.center.merge.leq(cm):
-                    cl.add(st.label)
+            for bit, cmask in implied:
+                if not cl & bit and cmask & cl == cmask:
+                    cl |= bit
                     changed = True
-        return frozenset(cl)
+        return cl
 
     def locus_contained_in(self, inner: Locus, outer: Locus) -> bool:
         """True if every constraint of outer provably holds on inner."""
-        return (outer.faces <= self.face_closure(inner)
+        try:
+            om = self._mask(outer.faces)
+        except KeyError:
+            return False
+        return (om & self._closure(inner) == om
                 and outer.merge.leq(self.canon_merge(inner)))
 
     def locus_nonempty_certificate(self, locus: Locus) -> bool:
         """Necessary conditions for nonemptiness; False proves empty."""
         if locus.faces and not self.meets(locus.faces):
             return False
+        m = locus.merge
         if locus.pure:
             # a pure locus lies inside the tracked strict transform of
             # each of its diagonal blocks; residual (impure) loci do not
-            for l, blks in locus.merge.blocks:
-                for b in blks:
-                    try:
-                        ms = self.diag_meet_set(b, l)
-                    except KeyError:
-                        continue
-                    if not locus.faces <= ms:
-                        return False
+            inside = [(b, l) for l, blks in m.blocks for b in blks]
         else:
             # a residual locus still lies inside the strict transform of
             # any pair diagonal whose depth exceeds everything the faces
             # carry for that pair
-            fm = merge_join_all(self.face(f).merged for f in locus.faces)
-            for pair in {p for p in locus.merge.all_pairs()}:
-                l = locus.merge.maxlevel(pair)
-                if fm.maxlevel(pair) >= l:
-                    continue
-                try:
-                    ms = self.diag_meet_set(pair, l)
-                except KeyError:
-                    continue
-                if not locus.faces <= ms:
-                    return False
+            fm = self._faces_merged(locus.faces)
+            inside = [(p, m.maxlevel(p)) for p in m.all_pairs()
+                      if fm.maxlevel(p) < m.maxlevel(p)]
+        tracked = dict(self.diag_meets)
+        if not all(locus.faces <= tracked.get(key, locus.faces)
+                   for key in inside):
+            return False
         if not locus.faces:
             return True
         # rate balance only for the locus's own diagonal constraints:
@@ -478,44 +543,22 @@ class Space:
         of the joint closure outside the center balance freely.
         """
         sc = sorted(C.faces)
-        carriers = self.face_closure(joint) - C.faces
-        carried = set()
-        free = []
-        for i in range(1, self.n_factors + 1):
-            if any(self.val(h, ("x", i)) > 0 for h in carriers):
-                carried.add(i)
-                free.append(i)
-        idx = {h: k for k, h in enumerate(sc)}
-        fidx = {i: len(sc) + k for k, i in enumerate(free)}
+        carriers = self._names(self._closure(joint) & ~self._mask(C.faces))
+        free = [i for i in range(1, self.n_factors + 1)
+                if any(self.val(h, ("x", i)) > 0 for h in carriers)]
         n = len(sc) + len(free)
         rows = []
-        for h in sc:
-            row = [Fraction(0)] * (n + 1)
-            row[idx[h]] = Fraction(1)
-            if h in forced:
-                row[-1] = Fraction(-1)
-            rows.append(tuple(row))
+        for k, h in enumerate(sc):
+            rows.append(_unit_row(n, k, -(h in forced)))
             if h == hstar:
-                rows.append(tuple(-c for c in row))  # s_hstar <= 0
-        for i in free:
-            row = [Fraction(0)] * (n + 1)
-            row[fidx[i]] = Fraction(1)
-            rows.append(tuple(row))
+                rows.append([-c for c in rows[-1]])  # s_hstar <= 0
+        rows += [_unit_row(n, k) for k in range(len(sc), n)]
         for pair in joint.merge.pairs_at_level(-1):
             i, j = sorted(pair)
-
-            def rate_row(m):
-                row = [Fraction(0)] * (n + 1)
-                for h in sc:
-                    row[idx[h]] = Fraction(self.val(h, ("x", m)))
-                if m in carried:
-                    row[fidx[m]] = Fraction(1)
-                return row
-
-            ri, rj = rate_row(i), rate_row(j)
-            diff = tuple(a - b for a, b in zip(ri, rj))
-            rows.append(diff)
-            rows.append(tuple(-c for c in diff))
+            diff = ([self.val(h, ("x", i)) - self.val(h, ("x", j))
+                     for h in sc]
+                    + [(m == i) - (m == j) for m in free] + [0])
+            rows += [diff, [-c for c in diff]]
         return _fm_feasible(rows, n)
 
     def separated_by(self, t1: Locus, t2: Locus, step: Step) -> bool:
@@ -533,19 +576,17 @@ class Space:
             return False
         if self.locus_contained_in(t1, C) or self.locus_contained_in(t2, C):
             return False
-        jcm = self.canon_merge(joint)
-        cl = self.face_closure(joint)
-        if not (C.faces <= cl and C.merge.leq(jcm)):
-            return False
-        if not C.merge.leq(self.canon_merge(t1).join(self.canon_merge(t2))):
+        if not (self.locus_contained_in(joint, C)
+                and C.merge.leq(self.canon_merge(t1).join(
+                    self.canon_merge(t2)))):
             return False
         forced = C.faces & (self.face_closure(t1) | self.face_closure(t2))
-        pool = C.faces - forced
-        for hstar in sorted(pool):
+        for hstar in sorted(C.faces - forced):
             if self._fibre_witness(C, forced, hstar, joint):
                 return False
         return True
 
+    @_memo_scope
     def disjoint(self, t1: Locus, t2: Locus) -> bool:
         """Sound disjointness certificate (False proves nothing)."""
         joint = Locus(t1.faces | t2.faces, t1.merge.join(t2.merge),
@@ -554,15 +595,13 @@ class Space:
             return True
         return any(self.separated_by(t1, t2, st) for st in self.history)
 
+    @_memo_scope
     def psub_meets(self, name: str) -> frozenset:
         """Faces a registered submanifold still meets."""
-        ps = self.registered(name)
-        t = ps.locus
+        t = self.registered(name).locus
         out = set(t.faces)
         for f in self.face_names:
-            if f in out:
-                continue
-            if not self.disjoint(t, Locus(frozenset({f}))):
+            if f not in out and not self.disjoint(t, Locus(frozenset({f}))):
                 out.add(f)
         return frozenset(out)
 
@@ -603,11 +642,6 @@ class BMap:
 
     def exponent_vector(self, h: str):
         return tuple(self.exponent(g, h) for g in self.domain_faces)
-
-    def interior_orders(self, g: str) -> dict:
-        """Vanishing orders of the reference differences at a domain face."""
-        face = self.domain.face(g)
-        return {s: o for s, o in face.v if s[0] == "d"}
 
 
 def bmap_from_entries(dom: Space, cod: Space, entries, step=None) -> BMap:
@@ -683,29 +717,24 @@ def product_space(n_factors: int, dims, name: str = "",
                  faces, strata, tuple(dmeets), ())
 
 
-def _face_merged_join(space: Space, faces) -> Merge:
-    return merge_join_all(space.face(f).merged for f in faces)
-
-
-def _corner_implied_pairs(space: Space, center: Locus):
-    pairs = []
-    for i, j in itertools.combinations(range(1, space.n_factors + 1), 2):
-        mi = sum(space.val(f, ("x", i)) for f in center.faces)
-        mj = sum(space.val(f, ("x", j)) for f in center.faces)
-        if mi >= 1 and mj >= 1:
-            pairs.append((-1, frozenset({i, j})))
-    return pairs
+def _corner_cut_pairs(space: Space, center: Locus) -> list:
+    """Pairs of factors whose boundary coordinates both vanish on the
+    faces of the center."""
+    vanish = [i for i in range(1, space.n_factors + 1)
+              if sum(space.val(f, ("x", i)) for f in center.faces) >= 1]
+    return [frozenset(p) for p in itertools.combinations(vanish, 2)]
 
 
 def merged_of_new_face(space: Space, center: Locus) -> Merge:
     """Merge data the front face of this center will carry."""
-    m = _face_merged_join(space, center.faces)
+    m = space._faces_merged(center.faces)
     if center.is_corner:
-        return m.join(Merge.from_pairs(_corner_implied_pairs(space, center)))
+        return m.join(Merge.from_pairs(
+            (-1, p) for p in _corner_cut_pairs(space, center)))
     return m.join(center.merge)
 
 
-def _center_rank(space: Space, center: Locus, dims=None) -> int:
+def center_rank(space: Space, center: Locus, dims=None) -> int:
     """Interior rank of the residual cut of the center.
 
     Pairs merged at least as deep by the containing faces are already
@@ -715,39 +744,27 @@ def _center_rank(space: Space, center: Locus, dims=None) -> int:
     """
     if center.is_corner:
         return 0
-    face_merged = _face_merged_join(space, center.faces)
+    face_merged = space._faces_merged(center.faces)
     total = 0
     for l, blks in center.merge.blocks:
         d = dims[l] if dims is not None else space.dim_of_level(l)
         if d == 0:
             continue
         for b in blks:
-            elems = sorted(b)
-            parent = {i: i for i in elems}
-
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            for i, j in itertools.combinations(elems, 2):
-                if face_merged.maxlevel({i, j}) >= center.merge.maxlevel({i, j}):
-                    parent[find(i)] = find(j)
-            total += d * (len({find(i) for i in elems}) - 1)
+            absorbed = _partition(
+                p for p in itertools.combinations(sorted(b), 2)
+                if face_merged.maxlevel(p) >= center.merge.maxlevel(p))
+            classes = len(b) - sum(len(c) - 1 for c in absorbed)
+            total += d * (classes - 1)
     return total
 
 
-def _residual_cut(space: Space, center: Locus, level: int, pair) -> bool:
+def _residual_cut(space: Space, center: Locus, face_merged: Merge,
+                  level: int, pair) -> bool:
     """Does the center's residual constrain this difference function?"""
-    face_merged = _face_merged_join(space, center.faces)
     if center.is_corner:
-        if level != -1:
-            return False
-        i, j = sorted(pair)
-        mi = sum(space.val(f, ("x", i)) for f in center.faces)
-        mj = sum(space.val(f, ("x", j)) for f in center.faces)
-        return mi >= 1 and mj >= 1 and face_merged.maxlevel(pair) < -1
+        return (level == -1 and pair in _corner_cut_pairs(space, center)
+                and face_merged.maxlevel(pair) < -1)
     cm = center.merge.maxlevel(pair)
     if cm < level:
         return False
@@ -762,42 +779,39 @@ def _all_symbols(space: Space):
     return syms
 
 
-def _downward_family(strata):
-    fam = {frozenset()}
-    for m in strata:
-        for r in range(1, len(m) + 1):
-            fam.update(frozenset(c) for c in itertools.combinations(sorted(m), r))
-    return fam
-
-
-def _maximalize(sets):
-    return frozenset(s for s in sets if not any(s < t for t in sets))
-
-
 def _new_strata(space: Space, center: Locus, ff_name: str) -> frozenset:
-    all_old = _downward_family(space.strata)
-    new_sets = set()
+    """Strata after blowing up the center, as sets of face names."""
+    cmask = space._mask(center.faces)
+    ff = 1 << len(space.faces)
+    all_old = set()                # every subset of an old stratum
+    for m in space._strata:
+        sub = m
+        while True:
+            all_old.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & m
     if center.is_corner:
-        for m in space.strata:
-            if not center.faces <= m:
-                new_sets.add(m)
-        for b in all_old:
-            if (b | center.faces) in all_old and not center.faces <= b:
-                new_sets.add(b | {ff_name})
+        new = {m for m in space._strata if m & cmask != cmask}
+        new.update(b | ff for b in all_old
+                   if b | cmask in all_old and b & cmask != cmask)
     else:
-        new_sets |= space.strata
+        new = set(space._strata)
         for b in all_old:
-            tot = b | center.faces
-            if tot not in all_old:
-                continue
-            if not space.disjoint(center, Locus(frozenset(tot))):
-                new_sets.add(tot | {ff_name})
-    return _maximalize(new_sets)
+            tot = b | cmask
+            if tot in all_old and not space.disjoint(
+                    center, Locus(frozenset(space._names(tot)))):
+                new.add(tot | ff)
+    maximal = []
+    for s in sorted(new, key=int.bit_count, reverse=True):
+        if not any(s & t == s for t in maximal):
+            maximal.append(s)
+    names = space.face_names + (ff_name,)
+    return frozenset(frozenset(f for k, f in enumerate(names) if s >> k & 1)
+                     for s in maximal)
 
 
-center_rank = _center_rank
-
-
+@_memo_scope
 def blowup(space: Space, center, a: int, label: str = ""):
     """Blow up a center to order a; returns (new space, blowdown map).
 
@@ -819,7 +833,7 @@ def blowup(space: Space, center, a: int, label: str = ""):
     if defined != INF and defined < a:
         raise BlowupError(
             f"center defined only to order {defined}; cannot blow up to {a}")
-    unknown = [f for f in c.faces if f not in space.face_names]
+    unknown = [f for f in c.faces if f not in space._index]
     if unknown:
         raise BlowupError(f"center references unknown faces {unknown}")
     if not c.faces:
@@ -837,16 +851,15 @@ def blowup(space: Space, center, a: int, label: str = ""):
         if len(heavy) > 1:
             raise EngineUnsupported(
                 "diagonal center spanning several diagonal-bearing faces")
-    if label in space.face_names:
+    if label in space._index:
         raise BlowupError(f"face name {label} already in use")
 
-    rank = _center_rank(space, c)
-    step = Step(label, c, a, rank)
-
+    step = Step(label, c, a, center_rank(space, c))
+    face_merged = space._faces_merged(c.faces)
     vals = []
     for s in _all_symbols(space):
         o = sum(space.val(f, s) for f in c.faces)
-        if s[0] == "d" and _residual_cut(space, c, s[1], s[2]):
+        if s[0] == "d" and _residual_cut(space, c, face_merged, s[1], s[2]):
             o += a
         if o:
             vals.append((s, o))
@@ -949,42 +962,25 @@ class BlowupSeq:
         return self.labels().index(label)
 
 
-_REPLAY_CACHE: dict = {}
-
-
-def clear_replay_cache():
-    _REPLAY_CACHE.clear()
-
-
 def replay(seq: BlowupSeq, upto: Optional[int] = None):
-    """Execute the sequence; returns (space, list of blowdown maps)."""
+    """Execute the sequence; returns (space, list of blowdown maps).
+
+    Results are cached by (base space, executed entries) in a bounded
+    least-recently-used cache that holds the working set of one
+    `a_spaces.verify_facemaps` with room to spare.
+    """
     n = len(seq.entries) if upto is None else upto
-    key = (seq.base, seq.entries[:n])
-    if key in _REPLAY_CACHE:
-        return _REPLAY_CACHE[key]
-    if n == 0:
-        out = (seq.base, [])
-    else:
-        prev, maps = replay(seq, n - 1)
-        e = seq.entries[n - 1]
-        space, beta = blowup(prev, e.locus(), e.order, e.label)
-        out = (space, maps + [beta])
-    _REPLAY_CACHE[key] = out
-    return out
+    return _replay(seq.base, seq.entries[:n])
 
 
-def total_blowdown(seq: BlowupSeq) -> BMap:
-    space, maps = replay(seq)
-    if not maps:
-        return identity_bmap(space)
-    out = maps[-1]
-    for beta in reversed(maps[:-1]):
-        out = compose(out, beta)
-    return out
-
-
-def _expr_references(e: CenterExpr, label: str) -> bool:
-    return label in e.faces
+@functools.lru_cache(maxsize=1024)
+def _replay(base: Space, entries: tuple):
+    if not entries:
+        return base, []
+    prev, maps = replay(BlowupSeq(base, entries), len(entries) - 1)
+    e = entries[-1]
+    space, beta = blowup(prev, e.locus(), e.order, e.label)
+    return space, maps + [beta]
 
 
 def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
@@ -1004,7 +1000,7 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
     p = position
     if rule == 1:
         y, w = es[p], es[p + 1]
-        if _expr_references(w, y.label):
+        if y.label in w.faces:
             raise RewriteError(
                 f"{w.label} references the front face of {y.label}")
         space, _ = replay(seq, p)
@@ -1015,7 +1011,7 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
 
     if rule == 2:
         a_e, b_e = es[p], es[p + 1]
-        if _expr_references(b_e, a_e.label):
+        if a_e.label in b_e.faces:
             raise RewriteError(
                 f"{b_e.label} references the front face of {a_e.label}")
         if a_e.order != b_e.order:
@@ -1034,7 +1030,7 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
         y_e, a_e, w_e = es[p], es[p + 1], es[p + 2]
         if a_e.order != w_e.order:
             raise RewriteError("triple exchange needs matching outer orders")
-        if _expr_references(w_e, y_e.label) or _expr_references(w_e, a_e.label):
+        if y_e.label in w_e.faces or a_e.label in w_e.faces:
             raise RewriteError(
                 f"{w_e.label} must be expressible before {y_e.label}")
         space, _ = replay(seq, p)
@@ -1045,7 +1041,7 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
         if frozenset(a_e.faces) != want_faces:
             raise RewriteError(
                 f"middle entry {a_e.label} is not the lift of the intersection")
-        face_m = _face_merged_join(space, A.faces)
+        face_m = space._faces_merged(A.faces)
         got = a_e.merge.join(pm_y).join(face_m)
         want = A.merge.join(pm_y).join(face_m)
         if not got.eq(want):
@@ -1054,7 +1050,7 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
         a_new = CenterExpr(a_e.label,
                            tuple(sorted((A.faces - W.faces) | {w_e.label})),
                            A.merge.reduce_by(pm_w.join(
-                               _face_merged_join(space, A.faces - W.faces))),
+                               space._faces_merged(A.faces - W.faces))),
                            y_e.order, pure=False)
         y_new = CenterExpr(y_e.label, y_e.faces, y_e.merge, y_e.order,
                            pure=y_e.pure)
@@ -1083,8 +1079,7 @@ def seq_from_json(base: Space, data) -> BlowupSeq:
         for blk in c.get("interior", []):
             by_level.setdefault(int(blk["level"]), []).append(
                 frozenset(int(i) for i in blk["factors"]))
-        merge = Merge(tuple(
-            (l, _join_partition(by_level[l], [])) for l in sorted(by_level)))
+        merge = Merge(tuple((l, _partition(bs)) for l, bs in by_level.items()))
         entries.append(CenterExpr(item["label"], tuple(c["faces"]), merge,
                                   int(item.get("order", 1))))
     return BlowupSeq(base, tuple(entries))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import a_spaces as asp
 from .a_spaces import Tower
-from .corner_spaces import Space
+from .corner_spaces import Space, center_rank
 from .index_algebra import WeightVector, pullback_weights, weights
 
 
@@ -121,7 +121,6 @@ def triple_w_a0(t: Tower) -> WeightVector:
     their merge data); the tower supplies orders and dimensions for each
     step's contribution.
     """
-    from .corner_spaces import center_rank
     space = asp.canonical_triple().space
     dims = dict(t.level_dims())
     dims[-1] = 1

@@ -161,3 +161,36 @@ def test_normal_family_from_operator_spec(tower_file, tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["dim"] == 5 and data["exact"]
     assert not data["diagonal"]          # the trig factor shifts modes
+
+
+def _one_line_usage_error(args, capsys):
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    return err
+
+
+def test_config_without_k_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps({"a": [1], "b": 1, "f": []}))
+    err = _one_line_usage_error(["tower", "validate", "-c", str(p)], capsys)
+    assert "'k'" in err
+
+
+def test_config_not_json_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "tower.json"
+    p.write_text("k = 2")
+    err = _one_line_usage_error(["tower", "validate", "-c", str(p)], capsys)
+    assert "not JSON" in err
+
+
+def test_parametrix_bad_order_is_usage_error(tower_file, capsys):
+    err = _one_line_usage_error(["parametrix", "-c", tower_file, "-m", "x"],
+                                capsys)
+    assert "-m" in err
+
+
+def test_resolvent_zero_step_is_usage_error(tower_file, capsys):
+    err = _one_line_usage_error(["resolvent-check", "-c", tower_file,
+                                 "--lambda=-1", "--step", "0"], capsys)
+    assert "--step" in err

@@ -1,8 +1,12 @@
-"""Golden CLI reports: stdout and exit code, byte for byte.
+"""Golden CLI reports and engine states, byte for byte.
 
 The files in ``tests/golden/`` were written by the corner engine before
 its data layer was rebuilt on indexed merges and spaces; every later
-version must reproduce them exactly.  To write them from a checkout
+version must reproduce them exactly.  The CLI files hold a command's
+exit code and stdout.  The engine files hold the whole tracked state
+(valuations, merges, strata, diagonal meet sets, registry, history) of
+the double space and of the symmetric and commuted triple spaces, which
+the reports show only in part.  To write them from a checkout
 whose reports are trusted, run ``python tests/test_golden.py`` with that
 checkout's ``src`` on ``PYTHONPATH``.
 
@@ -21,7 +25,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from qhcalc import a_spaces as asp
 from qhcalc import cli
+from qhcalc import corner_spaces as cs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -47,6 +53,46 @@ CASES = [(t, c) for t in TOWERS for c in COMMANDS
          if TOWERS[t]["k"] == 2 or c not in DEPTH2_ONLY]
 
 
+def _plain(x):
+    """JSON form with every set sorted, so the text is deterministic."""
+    if isinstance(x, cs.Merge):
+        return _plain(x.canonical_key())
+    if isinstance(x, cs.Locus):
+        return {"faces": _plain(x.faces), "merge": _plain(x.merge),
+                "pure": x.pure}
+    if isinstance(x, (set, frozenset)):
+        return sorted(_plain(v) for v in x)
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    if x == float("inf"):
+        return "inf"
+    return x
+
+
+def _space_state(S: cs.Space) -> dict:
+    return {
+        "faces": [[f.name, f.step, f.order, _plain(f.v), _plain(f.merged),
+                   _plain(f.center)] for f in S.faces],
+        "strata": _plain(S.strata),
+        "diag_meets": _plain(S.diag_meets),
+        "registry": [[n, _plain(p.locus), _plain(p.order)]
+                     for n, p in S.registry],
+        "history": [[st.label, _plain(st.center), st.order, st.rank]
+                    for st in S.history]}
+
+
+def _engine_state(tower: str) -> str:
+    t = asp.Tower.from_json(TOWERS[tower])
+    stage = asp.TRIPLE_STAGES[t.k]
+    com = asp.commuted_triple_seq(t, stage)
+    state = {"double": _space_state(asp.double_space(t).space),
+             "commuted_seq": cs.seq_to_json(com),
+             "symmetric": _space_state(
+                 cs.replay(asp.symmetric_triple_seq(t, stage))[0]),
+             "commuted": _space_state(cs.replay(com)[0])}
+    return json.dumps(state, indent=1, sort_keys=True) + "\n"
+
+
 def _run(tower: str, command: str, tmp: pathlib.Path):
     cfg = tmp / f"{tower}.json"
     cfg.write_text(json.dumps(TOWERS[tower]))
@@ -63,6 +109,12 @@ def test_golden(tower, command, tmp_path):
     assert _run(tower, command, tmp_path) == want
 
 
+@pytest.mark.parametrize("tower", TOWERS)
+def test_golden_engine_state(tower):
+    want = (GOLDEN / f"{tower}__engine.json").read_text()
+    assert _engine_state(tower) == want
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -72,3 +124,6 @@ if __name__ == "__main__":
             (GOLDEN / f"{tower}__{command}.txt").write_text(
                 _run(tower, command, pathlib.Path(d)))
             print(f"wrote {tower}__{command}.txt", file=sys.stderr)
+    for tower in TOWERS:
+        (GOLDEN / f"{tower}__engine.json").write_text(_engine_state(tower))
+        print(f"wrote {tower}__engine.json", file=sys.stderr)
