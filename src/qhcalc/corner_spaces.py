@@ -204,7 +204,7 @@ class Merge:
 _TRIVIAL = Merge(())
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=1024)
 def _join(a: Merge, b: Merge) -> Merge:
     return Merge(tuple((l, _partition(itertools.chain(a.at(l), b.at(l))))
                        for l in a._at.keys() | b._at.keys()))
@@ -806,9 +806,10 @@ def _new_strata(space: Space, center: Locus, ff_name: str) -> frozenset:
     for s in sorted(new, key=int.bit_count, reverse=True):
         if not any(s & t == s for t in maximal):
             maximal.append(s)
+    kept = dict(zip(space._strata, space.strata))  # shared with the old space
     names = space.face_names + (ff_name,)
-    return frozenset(frozenset(f for k, f in enumerate(names) if s >> k & 1)
-                     for s in maximal)
+    return frozenset(kept.get(s) or frozenset(
+        f for k, f in enumerate(names) if s >> k & 1) for s in maximal)
 
 
 @_memo_scope
@@ -966,14 +967,14 @@ def replay(seq: BlowupSeq, upto: Optional[int] = None):
     """Execute the sequence; returns (space, list of blowdown maps).
 
     Results are cached by (base space, executed entries) in a bounded
-    least-recently-used cache that holds the working set of one
-    `a_spaces.verify_facemaps` with room to spare.
+    least-recently-used cache.  One `a_spaces.verify_facemaps` of a
+    depth-2 tower, the largest working set of any command, fills 173.
     """
     n = len(seq.entries) if upto is None else upto
     return _replay(seq.base, seq.entries[:n])
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=256)
 def _replay(base: Space, entries: tuple):
     if not entries:
         return base, []
