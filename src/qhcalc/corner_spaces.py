@@ -210,10 +210,6 @@ def _join(a: Merge, b: Merge) -> Merge:
                        for l in a._at.keys() | b._at.keys()))
 
 
-def merge_join_all(merges) -> Merge:
-    return functools.reduce(Merge.join, merges, _TRIVIAL)
-
-
 # ---------------------------------------------------------------------------
 # loci and registered submanifolds
 
@@ -405,9 +401,6 @@ class Space:
             return False
         return any(s & m == s for m in self._strata)
 
-    def diag_meet_set(self, factors, level) -> frozenset:
-        return dict(self.diag_meets)[frozenset(factors), level]
-
     def registered(self, name: str) -> PSub:
         return dict(self.registry)[name]
 
@@ -442,7 +435,8 @@ class Space:
     # -- derived locus predicates -----------------------------------------
 
     def _faces_merged(self, faces) -> Merge:
-        return merge_join_all(self.face(f).merged for f in faces)
+        return functools.reduce(
+            Merge.join, (self.face(f).merged for f in faces), _TRIVIAL)
 
     @_memoized
     def canon_merge(self, locus: Locus) -> Merge:
