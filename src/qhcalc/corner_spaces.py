@@ -462,8 +462,8 @@ class Space:
         """`face_closure` as a face mask."""
         cl = self._mask(locus.faces)
         cm = self.canon_merge(locus)
-        pairs = [sorted(p) for p in cm.pairs_at_level(-1)]
-        implied = [(bit, cmask) for bit, cmask, m in self._hist if m.leq(cm)]
+        pairs = [p for b in cm.at(-1)
+                 for p in itertools.combinations(sorted(b), 2)]
         gt = self._gt
         changed = True
         while changed:
@@ -483,8 +483,8 @@ class Space:
                     if cands and not cands & (cands - 1) and not cands & cl:
                         cl |= cands
                         changed = True
-            for bit, cmask in implied:
-                if not cl & bit and cmask & cl == cmask:
+            for bit, cmask, m in self._hist:
+                if not cl & bit and cmask & cl == cmask and m.leq(cm):
                     cl |= bit
                     changed = True
         return cl
@@ -574,7 +574,8 @@ class Space:
                 and C.merge.leq(self.canon_merge(t1).join(
                     self.canon_merge(t2)))):
             return False
-        forced = C.faces & (self.face_closure(t1) | self.face_closure(t2))
+        forced = frozenset(self._names(self._mask(C.faces) & (
+            self._closure(t1) | self._closure(t2))))
         for hstar in sorted(C.faces - forced):
             if self._fibre_witness(C, forced, hstar, joint):
                 return False
