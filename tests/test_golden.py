@@ -82,15 +82,19 @@ def _space_state(S: cs.Space) -> dict:
 
 
 def _engine_state(tower: str) -> str:
+    """One JSON line per face, stratum, meet set, registry entry, step."""
     t = asp.Tower.from_json(TOWERS[tower])
     stage = asp.TRIPLE_STAGES[t.k]
     com = asp.commuted_triple_seq(t, stage)
-    state = {"double": _space_state(asp.double_space(t).space),
-             "commuted_seq": cs.seq_to_json(com),
-             "symmetric": _space_state(
-                 cs.replay(asp.symmetric_triple_seq(t, stage))[0]),
-             "commuted": _space_state(cs.replay(com)[0])}
-    return json.dumps(state, indent=1, sort_keys=True) + "\n"
+    spaces = {"double": asp.double_space(t).space,
+              "symmetric": cs.replay(asp.symmetric_triple_seq(t, stage))[0],
+              "commuted": cs.replay(com)[0]}
+    lines = [["commuted_seq", e] for e in cs.seq_to_json(com)]
+    for name, S in spaces.items():
+        lines += [[name, part, item]
+                  for part, items in _space_state(S).items()
+                  for item in items]
+    return "".join(json.dumps(x, sort_keys=True) + "\n" for x in lines)
 
 
 def _run(tower: str, command: str, tmp: pathlib.Path):
@@ -111,7 +115,7 @@ def test_golden(tower, command, tmp_path):
 
 @pytest.mark.parametrize("tower", TOWERS)
 def test_golden_engine_state(tower):
-    want = (GOLDEN / f"{tower}__engine.json").read_text()
+    want = (GOLDEN / f"{tower}__engine.jsonl").read_text()
     assert _engine_state(tower) == want
 
 
@@ -125,5 +129,5 @@ if __name__ == "__main__":
                 _run(tower, command, pathlib.Path(d)))
             print(f"wrote {tower}__{command}.txt", file=sys.stderr)
     for tower in TOWERS:
-        (GOLDEN / f"{tower}__engine.json").write_text(_engine_state(tower))
-        print(f"wrote {tower}__engine.json", file=sys.stderr)
+        (GOLDEN / f"{tower}__engine.jsonl").write_text(_engine_state(tower))
+        print(f"wrote {tower}__engine.jsonl", file=sys.stderr)
