@@ -236,7 +236,11 @@ def cmd_compose(args) -> int:
 def cmd_act(args) -> int:
     t = _load_tower(args.config)
     P = _load_class(t, args.P)
-    I = ia.indexset_from_json(_read_json(args.I)["set"])
+    data = _read_json(args.I)
+    if not isinstance(data, dict) or "set" not in data:
+        raise UsageError(f"{args.I}: an index set file is a JSON object "
+                         "with key 'set'")
+    I = ia.indexset_from_json(data["set"])
     try:
         out = oc.act(P, I)
     except oc.NonIntegrable as e:
@@ -269,14 +273,15 @@ def cmd_parametrix(args) -> int:
 
 
 def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
+    b, f1, f2 = ms.model_dims(t)
     data = _read_json(path)
-    nm = t.b + sum(t.f)
+    nm = b + f1 + f2
     terms = {}
     for item in data["terms"]:
         mu = (int(item.get("alpha", 0)),
-              tuple(item.get("I", [0] * t.b)),
-              tuple(item.get("J", [0] * t.f[0])),
-              tuple(item.get("K", [0] * t.f[1])))
+              tuple(item.get("I", [0] * b)),
+              tuple(item.get("J", [0] * f1)),
+              tuple(item.get("K", [0] * f2)))
         spec = item.get("coeff", {})
         xp = spec.get("x_poly", [[0, "1", "0"]])
         trig = spec.get("trig", [{"modes": [0] * nm, "re": "1", "im": "0"}])

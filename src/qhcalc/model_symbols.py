@@ -8,6 +8,16 @@ blowups, principal symbols, operator composition with commutator
 corrections, and truncated fibre-mode matrices of boundary models are
 all computed without floating point; numerics appear only in grid
 sweeps for invertibility margins.
+
+The fully elliptic sweep compiles the boundary family once: at the base
+point 0 every phase is trivial, so the family is a polynomial in the
+conormal parameter whose matrix coefficients are assembled exactly, by
+the same mode rule as ``normal_family_matrix``, and then converted to
+complex arrays.  The grid is then evaluated with numpy in chunks of
+bounded size, one batched SVD per chunk, and the witness is the first
+grid point, in ``itertools.product`` order, that attains the minimum.
+Model operators live on depth-2 towers; other depths are rejected with
+a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -100,8 +110,15 @@ def coeff_const(t: Tower, value, xpow: int = 0,
     return Coeff({(xpow, m, 0): v})
 
 
+def model_dims(t: Tower) -> tuple:
+    """(b, f1, f2) of the tower; model operators live on depth-2 towers."""
+    if t.k != 2:
+        raise ValueError("model operators need tower depth 2")
+    return t.b, t.f[0], t.f[1]
+
+
 def _mode_slices(t: Tower):
-    b, f1, f2 = t.b, t.f[0] if t.k >= 1 else 0, t.f[1] if t.k >= 2 else 0
+    b, f1, f2 = model_dims(t)
     return slice(0, b), slice(b, b + f1), slice(b + f1, b + f1 + f2)
 
 
@@ -131,6 +148,9 @@ class ADiffOp:
     tower: Tower
     terms: tuple   # ((MultiIndex, Coeff), ...), nonzero, sorted
 
+    def __post_init__(self):
+        model_dims(self.tower)
+
     @property
     def order(self) -> int:
         return max((_mi_degree(mu) for mu, _ in self.terms), default=0)
@@ -154,14 +174,14 @@ def make_op(t: Tower, termdict) -> ADiffOp:
 
 
 def identity_op(t: Tower) -> ADiffOp:
-    nb, nf1, nf2 = t.b, t.f[0], t.f[1]
+    nb, nf1, nf2 = model_dims(t)
     mu = _mi(0, (0,) * nb, (0,) * nf1, (0,) * nf2)
     return make_op(t, {mu: 1})
 
 
 def generator(t: Tower, kind: str, index: int = 0) -> ADiffOp:
     """Single weighted generator: kind in {x, y, z, w}."""
-    nb, nf1, nf2 = t.b, t.f[0], t.f[1]
+    nb, nf1, nf2 = model_dims(t)
     alpha, I, J, K = 0, [0] * nb, [0] * nf1, [0] * nf2
     if kind == "x":
         alpha = 1
@@ -178,7 +198,7 @@ def generator(t: Tower, kind: str, index: int = 0) -> ADiffOp:
 
 def model_laplacian(t: Tower) -> ADiffOp:
     """Sum of squares of all weighted generators (flat product model)."""
-    nb, nf1, nf2 = t.b, t.f[0], t.f[1]
+    nb, nf1, nf2 = model_dims(t)
     terms = {}
     z0 = _mi(2, (0,) * nb, (0,) * nf1, (0,) * nf2)
     terms[z0] = coeff_const(t, 1)
@@ -541,7 +561,7 @@ def transversality_check(t: Tower, include_w: bool = True) -> bool:
     are the fibre derivatives; together with the diagonal tangents they
     must span all interior directions (exact integer rank).
     """
-    b, f1, f2 = t.b, t.f[0], t.f[1]
+    b, f1, f2 = model_dims(t)
     dirs = (["dcT"] + [f"dcY{i}" for i in range(b)]
             + [f"dcZ{j}" for j in range(f1)]
             + [f"dy{i}" for i in range(b)] + [f"dz{j}" for j in range(f1)]
@@ -554,15 +574,14 @@ def transversality_check(t: Tower, include_w: bool = True) -> bool:
         row[idx[d]] = Fraction(1)
         return row
 
-    bt = boundary_part(lift_vf(t, "x", "z"))
-    assert len(bt) == 1 and bt[0].direction == "dcT"
+    # the lifted x, y and z fields restrict to the model derivatives
+    for kind, d in (("x", "dcT"), ("y", "dcY"), ("z", "dcZ")):
+        bp = boundary_part(lift_vf(t, kind, "z"))
+        if len(bp) != 1 or bp[0].direction != d:
+            return False
     rows.append(unit("dcT"))
-    by = boundary_part(lift_vf(t, "y", "z"))
-    assert len(by) == 1 and by[0].direction == "dcY"
     for i in range(b):
         rows.append(unit(f"dcY{i}"))
-    bz = boundary_part(lift_vf(t, "z", "z"))
-    assert len(bz) == 1 and bz[0].direction == "dcZ"
     for j in range(f1):
         rows.append(unit(f"dcZ{j}"))
     if include_w:
@@ -683,8 +702,37 @@ class NormalFamilyMatrix:
         return all(r == c for (r, c) in self.entries)
 
 
-def _rat_pow(v: Fraction, p: int) -> Fraction:
-    return v ** p
+def _check_truncation(P: ADiffOp, N: int, sw: slice) -> None:
+    support = max((abs(q) for _, c in P.terms for (n, m, w) in c if n == 0
+                   for q in m[sw]), default=0)
+    if support > N:
+        raise ValueError(
+            f"truncation {N} below coefficient mode support {support}")
+
+
+def _mode_entries(c: Coeff, K: tuple, modes: tuple, N: int, sw: slice):
+    """Boundary entries of one term c * D_w^K on the truncated modes.
+
+    For each x^0 coefficient (m, w) -> v and each column mode, the
+    deep-fibre modes of m shift the column to the row mode, rows past the
+    truncation are dropped, and D_w^K multiplies by (angle * col)^K.
+    Yields (m, row, col, angle power, K-factor, v); entries whose K-factor
+    vanishes are skipped.
+    """
+    dk = sum(K)
+    for (n, m, w), v in c.items():
+        if n != 0:
+            continue
+        mw = m[sw]
+        for col in modes:
+            row = tuple(cc + dd for cc, dd in zip(col, mw))
+            if any(abs(r) > N for r in row):
+                continue
+            kfac = 1
+            for q, k in zip(col, K):
+                kfac *= q ** k
+            if kfac:
+                yield m, row, col, w + dk, kfac, v
 
 
 def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
@@ -693,10 +741,11 @@ def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
     Coefficients are frozen at the boundary and at the base point; a
     deep-fibre trig factor shifts the column mode, a deep-fibre
     derivative multiplies by (angle * mode).  Truncation must dominate
-    the coefficient mode support.
+    the coefficient mode support.  This exact per-point assembly is the
+    reference for the compiled family of the grid sweep.
     """
     t = P.tower
-    b, f1, f2 = t.b, t.f[0], t.f[1]
+    b, f1, f2 = model_dims(t)
     if len(point) != b + f1:
         raise ValueError("base point needs one angle per y and z direction")
     if len(mu) != 1 + b + f1:
@@ -704,72 +753,35 @@ def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
     point = tuple(Fraction(p) for p in point)
     mu = tuple(Fraction(m) for m in mu)
     sy, sz, sw = _mode_slices(t)
-
-    wsupport = 0
-    exact = True
-    for _, c in P.terms:
-        for (n, m, w), v in c.at_x0().items():
-            wsupport = max(wsupport, max((abs(q) for q in m[sw]), default=0))
-            phase = sum(mi * pi for mi, pi in zip(m[sy], point[:b])) \
-                + sum(mi * pi for mi, pi in zip(m[sz], point[b:]))
-            if phase.denominator != 1:
-                exact = False
-    if wsupport > N:
-        raise ValueError(
-            f"truncation {N} below coefficient mode support {wsupport}")
+    _check_truncation(P, N, sw)
+    phases = {m: sum(mi * pi for mi, pi in zip(m[sy], point[:b]))
+              + sum(mi * pi for mi, pi in zip(m[sz], point[b:]))
+              for _, c in P.terms for (n, m, w) in c if n == 0}
+    exact = all(ph.denominator == 1 for ph in phases.values())
 
     modes = tuple(itertools.product(range(-N, N + 1), repeat=f2))
     entries: dict = {}
-    tau, eta, zeta = mu[0], mu[1:1 + b], mu[1 + b:]
-    for mu_idx, c in P.terms:
-        alpha, I, J, K = mu_idx
-        base = _rat_pow(tau, alpha)
-        for i in range(b):
-            base *= _rat_pow(eta[i], I[i])
-        for j in range(f1):
-            base *= _rat_pow(zeta[j], J[j])
+    for (alpha, I, J, K), c in P.terms:
+        base = mu[0] ** alpha
+        for x, p in zip(mu[1:], I + J):
+            base *= x ** p
         if base == 0:
             continue
-        for (n, m, w), v in c.items():
-            if n != 0:
+        for m, row, col, wpow, kfac, v in _mode_entries(c, K, modes, N, sw):
+            val = v * (base * kfac)
+            if exact:
+                ent = entries.setdefault((row, col), PiPoly())
+                s = ent.get(wpow, ZERO) + val
+                if s.re == 0 and s.im == 0:
+                    ent.pop(wpow, None)
+                else:
+                    ent[wpow] = s
                 continue
-            phase = sum(mi * pi for mi, pi in zip(m[sy], point[:b])) \
-                + sum(mi * pi for mi, pi in zip(m[sz], point[b:]))
-            mw = m[sw]
-            for col in modes:
-                row = tuple(cc + dd for cc, dd in zip(col, mw))
-                if any(abs(r) > N for r in row):
-                    continue
-                kfac = Fraction(1)
-                for kk in range(f2):
-                    kfac *= _rat_pow(Fraction(col[kk]), K[kk])
-                if kfac == 0 and sum(K) > 0:
-                    continue
-                val = v * (base * kfac)
-                wpow = w + sum(K)
-                if exact:
-                    if phase % 1 == 0:
-                        ent = entries.setdefault((row, col), PiPoly())
-                        s = ent.get(wpow, ZERO) + val
-                        if s.re == 0 and s.im == 0:
-                            ent.pop(wpow, None)
-                        else:
-                            ent[wpow] = s
-                        continue
-                ph = complex(math.cos(TWO_PI * float(phase)),
-                             math.sin(TWO_PI * float(phase)))
-                cur = entries.get((row, col), 0j)
-                if isinstance(cur, PiPoly):
-                    cur = cur.numeric()
-                    exact = False
-                entries[(row, col)] = cur + complex(val.re, val.im) \
-                    * (TWO_PI ** wpow) * ph
-    if not exact:
-        entries = {k: (v.numeric() if isinstance(v, PiPoly) else v)
-                   for k, v in entries.items()}
-    entries = {k: v for k, v in entries.items()
-               if (isinstance(v, PiPoly) and v) or
-               (not isinstance(v, PiPoly) and v != 0)}
+            phase = float(phases[m])
+            ph = complex(math.cos(TWO_PI * phase), math.sin(TWO_PI * phase))
+            entries[(row, col)] = entries.get((row, col), 0j) \
+                + complex(val.re, val.im) * (TWO_PI ** wpow) * ph
+    entries = {k: v for k, v in entries.items() if v}
     return NormalFamilyMatrix(t, point, mu, N, modes, entries, exact)
 
 
@@ -862,14 +874,6 @@ def multiplicativity_check(P: ADiffOp, Q: ADiffOp, samples,
 # ---------------------------------------------------------------------------
 # spectral checks
 
-def default_grid(dim: int, radius: Fraction = Fraction(10),
-                 step: Fraction = Fraction(1, 2)):
-    """Centered lattice of the given radius and step in each direction."""
-    n = int(radius / step)
-    axis = [step * i for i in range(-n, n + 1)]
-    return axis, dim
-
-
 def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
                                     N: int, radius=Fraction(10),
                                     step=Fraction(1, 2)):
@@ -882,7 +886,7 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
     when the parameter lies on the spectrum (pi^2 being transcendental,
     the rational and pi^2 parts must match separately).
     """
-    b, f1, f2 = t.b, t.f[0], t.f[1]
+    b, f1, f2 = model_dims(t)
     dim = 1 + b + f1
     n = int(Fraction(radius) / Fraction(step))
     axis = np.array([float(Fraction(step) * i) for i in range(-n, n + 1)])
@@ -967,8 +971,13 @@ def fully_elliptic_check(P: ADiffOp, lam_re0=0, lam_re2=0, lam_im=0,
 
     Symbol ellipticity is certified exactly for sums of squares; the
     boundary family margin is the grid minimum of the smallest singular
-    value.  The tail field records whether large parameters are covered
-    by an analytic bound or only by the grid.
+    value.  The model Laplacian uses its closed-form spectrum; any other
+    operator is compiled once into exact matrix coefficients of the
+    monomials in mu and swept in chunks, one batched SVD per chunk.  The
+    witness is the first grid point, in ``itertools.product`` order,
+    that attains the minimum; it agrees with the exact per-point
+    ``normal_family_matrix`` path.  The tail field records whether large
+    parameters are covered by an analytic bound or only by the grid.
     """
     t = P.tower
     sym = principal_symbol(P)
@@ -1049,20 +1058,68 @@ def _is_model_laplacian(P: ADiffOp) -> bool:
     return P.terms == model_laplacian(P.tower).terms
 
 
+def _compile_family(P: ADiffOp, N: int):
+    """The boundary family at base point 0 as a polynomial in mu.
+
+    Every phase is trivial at the base point, so the matrix at
+    mu = (tau, eta, zeta) is sum_k (2 pi)^k sum_e mu^e C[k, e], where
+    mu^e = tau^alpha eta^I zeta^J runs over the monomials of P's terms.
+    Each C[k, e] is assembled exactly, by the mode rule of
+    ``normal_family_matrix``, and then converted to one complex array.
+    Returns the modes and {k: [(e, C[k, e]), ...]} in increasing k.
+    """
+    _, _, sw = _mode_slices(P.tower)
+    _check_truncation(P, N, sw)
+    modes = tuple(itertools.product(range(-N, N + 1), repeat=P.tower.f[1]))
+    exact: dict = {}
+    for (alpha, I, J, K), c in P.terms:
+        for _, row, col, wpow, kfac, v in _mode_entries(c, K, modes, N, sw):
+            ent = exact.setdefault((wpow, (alpha,) + I + J), {})
+            ent[(row, col)] = ent.get((row, col), ZERO) + v * kfac
+    idx = {k: i for i, k in enumerate(modes)}
+    family: dict = {}
+    for (wpow, e), ent in sorted(exact.items()):
+        C = np.zeros((len(modes), len(modes)), dtype=complex)
+        for (r, c), v in ent.items():
+            C[idx[r], idx[c]] = complex(v.re, v.im)
+        family.setdefault(wpow, []).append((e, C))
+    return modes, family
+
+
+# bytes of one stack of family matrices handed to a batched SVD; the sweep
+# holds a few stacks of this size at a time, whatever the grid
+_SWEEP_CHUNK_BYTES = 1 << 21
+
+
 def _grid_min_singular(P: ADiffOp, lam: complex, N: int, radius, step):
-    t = P.tower
-    b, f1 = t.b, t.f[0]
-    dim = 1 + b + f1
+    """Grid minimum of the family's smallest singular value, and witness."""
+    modes, family = _compile_family(P, N)
+    d = len(modes)
+    dim = 1 + P.tower.b + P.tower.f[0]
     n = int(Fraction(radius) / Fraction(step))
     axis = [Fraction(step) * i for i in range(-n, n + 1)]
-    best = math.inf
-    witness = None
-    ident = np.eye((2 * N + 1) ** t.f[1], dtype=complex)
-    for mu in itertools.product(axis, repeat=dim):
-        M = normal_family_matrix(P, (Fraction(0),) * (b + f1), mu, N)
-        A = M.to_array() - lam * ident
-        sv = float(np.linalg.svd(A, compute_uv=False)[-1])
-        if sv < best:
-            best = sv
-            witness = {"mu": [str(m) for m in mu]}
+    top = max((max(e) for terms in family.values() for e, _ in terms),
+              default=0)
+    powers = [np.array([float(x ** p) for x in axis]) for p in range(top + 1)]
+    grid = np.unravel_index(np.arange(len(axis) ** dim), (len(axis),) * dim)
+    shift = lam * np.eye(d, dtype=complex)
+    chunk = max(1, _SWEEP_CHUNK_BYTES // (16 * d * d))
+    best, witness = math.inf, None
+    for start in range(0, len(grid[0]), chunk):
+        pts = [g[start:start + chunk] for g in grid]
+        A = np.zeros((len(pts[0]), d, d), dtype=complex)
+        for wpow, terms in family.items():
+            S = np.zeros_like(A)
+            for e, C in terms:
+                mono = np.ones(len(pts[0]))
+                for p, g in zip(e, pts):
+                    mono = mono * powers[p][g]
+                S += mono[:, None, None] * C
+            A += S * TWO_PI ** wpow
+        A -= shift
+        sv = np.linalg.svd(A, compute_uv=False)[:, -1]
+        i = int(np.argmin(sv))
+        if sv[i] < best:
+            best = float(sv[i])
+            witness = {"mu": [str(axis[g[i]]) for g in pts]}
     return best, witness

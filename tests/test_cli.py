@@ -194,3 +194,42 @@ def test_resolvent_zero_step_is_usage_error(tower_file, capsys):
     err = _one_line_usage_error(["resolvent-check", "-c", tower_file,
                                  "--lambda=-1", "--step", "0"], capsys)
     assert "--step" in err
+
+
+def test_act_index_set_without_set_is_usage_error(tower_file, tmp_path,
+                                                  capsys):
+    t = Tower(2, (1, 1, 1), 1, (1, 1))
+    p = tmp_path / "p.json"
+    i = tmp_path / "i.json"
+    p.write_text(json.dumps(oc.class_to_json(oc.small(t, 0, 0))))
+    i.write_text(json.dumps({"nope": []}))
+    err = _one_line_usage_error(["act", "-c", tower_file, "-P", str(p),
+                                 "-I", str(i)], capsys)
+    assert "'set'" in err
+
+
+def _shallow_towers(tmp_path):
+    for k, cfg in ((0, {"k": 0, "a": [1], "b": 1, "f": []}),
+                   (1, {"k": 1, "a": [1, 2], "b": 1, "f": [1]})):
+        p = tmp_path / f"tower{k}.json"
+        p.write_text(json.dumps(cfg))
+        yield str(p)
+
+
+def _needs_depth_2(args, capsys):
+    assert run(args) == 1
+    assert capsys.readouterr().err == "model operators need tower depth 2\n"
+
+
+def test_normal_family_needs_depth_2(tmp_path, capsys):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"terms": [{"alpha": 2}]}))
+    for path in _shallow_towers(tmp_path):
+        _needs_depth_2(["normal-family", "-c", path], capsys)
+        _needs_depth_2(["normal-family", "-c", path, "-O", str(op)], capsys)
+
+
+def test_resolvent_check_needs_depth_2(tmp_path, capsys):
+    for path in _shallow_towers(tmp_path):
+        _needs_depth_2(["resolvent-check", "-c", path, "--lambda=-1"],
+                       capsys)

@@ -1,7 +1,14 @@
 """Model operators: lifts, symbols, fibre-mode matrices, spectra."""
 
+import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +86,30 @@ def test_transversality_sweep():
     assert not ms.transversality_check(T, include_w=False)
     t0 = Tower(2, (1, 1, 1), 1, (1, 0))
     assert ms.transversality_check(t0, include_w=False)  # trivial deep fibre
+
+
+def test_transversality_rejects_broken_lift_under_optimize(monkeypatch):
+    # a lift whose boundary part is not the model derivative must fail the
+    # check, also under python -O, which strips assert statements
+    code = textwrap.dedent("""
+        from qhcalc import model_symbols as ms
+        from qhcalc.a_spaces import Tower
+        lift = ms.lift_vf
+        ms.lift_vf = lambda t, kind, stage: lift(
+            t, "w" if kind == "y" else kind, stage)
+        print(ms.transversality_check(Tower(2, (1, 1, 1), 1, (1, 1))))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+    lift = ms.lift_vf
+    monkeypatch.setattr(ms, "lift_vf", lambda t, kind, stage: lift(
+        t, "w" if kind == "z" else kind, stage))
+    assert ms.transversality_check(T) is False
 
 
 # --- symbols and composition -------------------------------------------------
@@ -264,3 +295,93 @@ def test_sampled_symbol_ellipticity():
                                     step=Fraction(1, 2))
     assert cert2["symbol_elliptic"]
     assert cert2["symbol_check"] == "sampled on the unit sphere"
+
+
+# --- batched grid sweep against the per-point path ---------------------------
+
+def _per_point_sweep(P, lam, N, radius, step):
+    """Reference: exact matrix and one SVD per grid point, strict <."""
+    t = P.tower
+    n = int(radius / step)
+    axis = [step * i for i in range(-n, n + 1)]
+    point = (Fraction(0),) * (t.b + t.f[0])
+    ident = np.eye((2 * N + 1) ** t.f[1])
+    best, witness = math.inf, None
+    for mu in itertools.product(axis, repeat=1 + t.b + t.f[0]):
+        A = ms.normal_family_matrix(P, point, mu, N).to_array() - lam * ident
+        sv = float(np.linalg.svd(A, compute_uv=False)[-1])
+        if sv < best:
+            best, witness = sv, {"mu": [str(m) for m in mu]}
+    return best, witness
+
+
+def _family_op(rng, t, xpow=None):
+    """Random order <= 2 operator, w-dependent in most terms."""
+    dims = (t.b, t.f[0], t.f[1])
+    nm = sum(dims)
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        parts = [rng.randint(0, 2), [0] * dims[0], [0] * dims[1],
+                 [0] * dims[2]]
+        for _ in range(rng.randint(0, 2)):
+            lv = rng.randint(0, 2)
+            if dims[lv]:
+                parts[lv + 1][rng.randrange(dims[lv])] += 1
+        mu = (parts[0],) + tuple(tuple(p) for p in parts[1:])
+        modes = [0] * nm
+        if rng.random() < 0.7:
+            modes[nm - 1 - rng.randrange(dims[2])] = rng.randint(-1, 1)
+        n = rng.randint(0, 1) if xpow is None else xpow
+        c = ms.Coeff({(n, tuple(modes), rng.randint(0, 1)):
+                      cx(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])),
+                         Fraction(rng.randint(-2, 2)))})
+        if not c.is_zero():
+            terms[mu] = terms.get(mu, ms.Coeff()) + c
+    return ms.make_op(t, terms)
+
+
+def _lam(re0, re2=0, im=0):
+    return complex(float(re0) + float(re2) * math.pi ** 2, float(im))
+
+
+def test_grid_sweep_matches_per_point_path():
+    rng = random.Random(17)
+    radius, step = Fraction(1), Fraction(1, 2)
+    cases = []      # (operator, (lam_re0, lam_re2, lam_im), N)
+    for (b, f1), f2 in itertools.product(((1, 0), (0, 1), (1, 1), (0, 2)),
+                                         (1, 2)):
+        t = Tower(2, (1, rng.randint(1, 3), rng.randint(1, 3)), b, (f1, f2))
+        N = 1 if f2 == 2 else 2
+        for lam in ((Fraction(rng.randint(-6, 6), 2), 0, 0),
+                    (Fraction(rng.randint(-6, 6), 2), 1,
+                     Fraction(rng.choice([-3, -1, 1, 3]), 2))):
+            cases.append((_family_op(rng, t), lam, N))
+        # no x^0 term: the boundary family vanishes, A = -lam I
+        cases.append((_family_op(rng, t, xpow=1), (-2, 0, 1), N))
+    # the sampled-symbol operator: laplacian plus an imaginary cross term
+    terms = dict(ms.model_laplacian(T).terms)
+    terms[(1, (1,), (0,), (0,))] = ms.Coeff(
+        {(0, (0, 0, 0), 0): cx(0, Fraction(1, 2))})
+    cases.append((ms.make_op(T, terms), (-1, 0, 0), 2))
+    for P, lam, N in cases:
+        cert = ms.fully_elliptic_check(P, *lam, N=N, radius=radius,
+                                       step=step)
+        want, witness = _per_point_sweep(P, _lam(*lam), N, radius, step)
+        assert abs(cert["min_singular_value"] - want) <= 1e-12 * want
+        assert cert["witness"] == witness
+    # a tie at every grid point: the witness is the first grid point
+    cert = ms.fully_elliptic_check(ms.identity_op(T), 1, N=2, radius=radius,
+                                   step=step)
+    assert cert["min_singular_value"] == 0
+    assert cert["witness"] == {"mu": ["-1", "-1", "-1"]}
+    # closed form: laplacian + c - lam is the laplacian at lam - c
+    for t in (T, Tower(2, (1, 2, 1), 0, (2, 2))):
+        terms = dict(ms.model_laplacian(t).terms)
+        terms[(0, (0,) * t.b, (0,) * t.f[0], (0,) * t.f[1])] = \
+            ms.coeff_const(t, Fraction(1, 2))
+        P = ms.make_op(t, terms)
+        cert = ms.fully_elliptic_check(P, -1, 0, 1, N=2, radius=radius,
+                                       step=step)
+        ref = ms.laplacian_spectrum_min_distance(
+            t, Fraction(-3, 2), 0, 1, 2, radius, step)["min_distance"]
+        assert math.isclose(cert["min_singular_value"], ref, rel_tol=1e-12)
