@@ -3,7 +3,11 @@
 The files in ``tests/golden/`` were written by the corner engine before
 its data layer was rebuilt on indexed merges and spaces; every later
 version must reproduce them exactly.  The CLI files hold a command's
-exit code and stdout.  The engine files hold the whole tracked state
+exit code and stdout, followed by its stderr when there is any.  The
+calculus reports (``compose``, a rejected ``compose``, ``act`` and
+``parametrix``) run on the fixed class and index-set files of
+``INPUTS`` and were written before composition was compiled into a
+per-face plan.  The engine files hold the whole tracked state
 (valuations, merges, strata, diagonal meet sets, registry, history) of
 the double space and of the symmetric and commuted triple spaces, which
 the reports show only in part.  To write them from a checkout
@@ -21,7 +25,7 @@ import io
 import json
 import pathlib
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -45,9 +49,35 @@ COMMANDS = {
     "facemap_verify": ["facemap", "verify", "--format", "json"],
     "weights": ["weights", "--format", "json"],
     "export_dot_triple": ["export-dot", "--space", "triple"],
+    "compose": ["compose", "-P", "P.json", "-Q", "Q.json"],
+    "compose_rejected": ["compose", "-P", "P.json", "-Q", "Qbad.json"],
+    "act": ["act", "-P", "P.json", "-I", "I.json"],
+    "parametrix": ["parametrix", "-m", "3/2", "--format", "json"],
 }
 
-DEPTH2_ONLY = ("space_triple", "weights", "export_dot_triple")
+# Operator classes and an index set for the calculus reports: complex
+# exponents, log powers, empty faces and smooth faces.  Qbad breaks the
+# strict integrability of P's right face against its left face.
+INPUTS = {
+    "P.json": {"order": "1/2", "family": {
+        "rf": [["1/2", "0/1", 1]],
+        "lf": [["1/1", "0/1", 0], ["1/3", "1/1", 2]],
+        "ff_zx": [["0/1", "0/1", 0], ["-1/2", "0/1", 1]],
+        "ff_zy": [],
+        "ff_z": [["0/1", "0/1", 0], ["3/2", "1/2", 1]]}},
+    "Q.json": {"order": "-1", "family": {
+        "rf": [["2/1", "0/1", 0], ["1/3", "1/1", 1]],
+        "lf": [["1/1", "0/1", 1], ["5/2", "0/1", 3]],
+        "ff_zx": [["1/2", "0/1", 0]],
+        "ff_zy": [["0/1", "0/1", 0]],
+        "ff_z": [["0/1", "0/1", 0], ["1/1", "0/1", 2], ["1/3", "1/1", 0]]}},
+    "Qbad.json": {"order": "0", "family": {
+        "lf": [["-1/2", "0/1", 0]], "ff_z": [["0/1", "0/1", 0]]}},
+    "I.json": {"set": [["1/1", "0/1", 0], ["1/2", "1/1", 1]]},
+}
+
+DEPTH2_ONLY = ("space_triple", "weights", "export_dot_triple", "compose",
+               "compose_rejected", "act", "parametrix")
 
 CASES = [(t, c) for t in TOWERS for c in COMMANDS
          if TOWERS[t]["k"] == 2 or c not in DEPTH2_ONLY]
@@ -100,10 +130,14 @@ def _engine_state(tower: str) -> str:
 def _run(tower: str, command: str, tmp: pathlib.Path):
     cfg = tmp / f"{tower}.json"
     cfg.write_text(json.dumps(TOWERS[tower]))
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli.main(COMMANDS[command] + ["-c", str(cfg)])
-    return f"exit {code}\n" + buf.getvalue()
+    for name, data in INPUTS.items():
+        (tmp / name).write_text(json.dumps(data))
+    argv = [str(tmp / a) if a in INPUTS else a for a in COMMANDS[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv + ["-c", str(cfg)])
+    text = f"exit {code}\n" + out.getvalue()
+    return text + (f"stderr: {err.getvalue()}" if err.getvalue() else "")
 
 
 @pytest.mark.parametrize("tower,command", CASES,
