@@ -194,7 +194,7 @@ def _double_seq(t: Tower) -> BlowupSeq:
     return BlowupSeq(base, tuple(entries))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def double_space(t: Tower) -> ASpaceDouble:
     """Resolve the diagonal chain of the two-factor product.
 
@@ -364,7 +364,7 @@ class ASpaceTriple:
     double: ASpaceDouble
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
     """Build the stage triple space and its three projections.
 

@@ -275,6 +275,9 @@ def cmd_parametrix(args) -> int:
 def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
     b, f1, f2 = ms.model_dims(t)
     data = _read_json(path)
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+        raise UsageError(f"{path}: an operator file is a JSON object "
+                         "with a list 'terms'")
     nm = b + f1 + f2
     terms = {}
     for item in data["terms"]:

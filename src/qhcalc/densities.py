@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import a_spaces as asp
 from .a_spaces import Tower
@@ -46,6 +47,7 @@ class DoubleWeights:
     w_tilde: WeightVector   # lifts of the rescaled densities of both factors
 
 
+@lru_cache(maxsize=1024)
 def double_weights(t: Tower) -> DoubleWeights:
     """Closed-form double-space weights, with the lifted-b-density vector
     verified against the cumulative blowup computation."""
@@ -138,9 +140,7 @@ def triple_w_a0(t: Tower) -> WeightVector:
     return WeightVector(w)
 
 
-_TRIPLE_WEIGHTS_CACHE: dict = {}
-
-
+@lru_cache(maxsize=1024)
 def triple_weights(t: Tower) -> TripleWeights:
     """Triple-space weights from first principles.
 
@@ -150,8 +150,6 @@ def triple_weights(t: Tower) -> TripleWeights:
     pullbacks of half the double-space weight difference along the three
     projections; the result must equal the cross-checked closed form.
     """
-    if t in _TRIPLE_WEIGHTS_CACHE:
-        return _TRIPLE_WEIGHTS_CACHE[t]
     W_a0 = triple_w_a0(t)
     if W_a0 != expected_triple_w_a0(t):
         raise AssertionError("triple-space weight cross-check failed")
@@ -164,9 +162,7 @@ def triple_weights(t: Tower) -> TripleWeights:
     if W_a != cross_checked_w_a(t):
         raise AssertionError("pullback-sum weight vector does not match "
                              "the cross-checked closed form")
-    out = TripleWeights(W_a0, W_a, w0)
-    _TRIPLE_WEIGHTS_CACHE[t] = out
-    return out
+    return TripleWeights(W_a0, W_a, w0)
 
 
 def weight_discrepancy_report(t: Tower) -> str:

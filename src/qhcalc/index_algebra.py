@@ -6,6 +6,13 @@ closure in the log power, and invariance under adding 1 to the leading
 exponent.  We store only the finite antichain of maximal generators;
 every query expands the closure lazily.  All exponents are Gaussian
 rationals, so every comparison in this module is exact.
+
+Points interact only within an integer coset z + Z, keyed by the
+imaginary part and the real part mod 1 (``_coset``).  Within a coset
+the closure is a count per real part, a point (z, p) counting p + 1;
+``normalize`` keeps the terms where the count rises, and under the
+extended union the counts of the arguments add, so ``ext_union_many``
+sweeps each coset once over all its arguments.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 INF = math.inf
@@ -127,15 +136,31 @@ EMPTY = IndexSet(frozenset())
 SMOOTH = IndexSet(frozenset({term(0)}))
 
 
+def _coset(z: CxRat) -> tuple:
+    """Key of the integer coset z + Z: imaginary part, real part mod 1.
+
+    Every real part in one coset has the key's denominator, so their
+    numerators order them."""
+    re = z.re
+    return (z.im, re.numerator % re.denominator, re.denominator)
+
+
 def normalize(terms: Iterable[IndexTerm]) -> IndexSet:
-    """Antichain of maximal generators; closure-equal inputs agree."""
-    ts = set(terms)
+    """Antichain of maximal generators; closure-equal inputs agree.
+
+    Per coset, in order of real part (larger log power first), a term is
+    kept when its log power beats every earlier one."""
+    cosets = {}
+    for t in set(terms):
+        cosets.setdefault(_coset(t.z), []).append(t)
     keep = []
-    for t in ts:
-        if any(o != t and _dominates(o, t) for o in ts):
-            continue
-        keep.append(t)
-    # two distinct maximal terms can still dominate each other only if equal
+    for group in cosets.values():
+        group.sort(key=lambda t: (t.z.re.numerator, -t.p))
+        best = -1
+        for t in group:
+            if t.p > best:
+                keep.append(t)
+                best = t.p
     return IndexSet(frozenset(keep))
 
 
@@ -178,23 +203,34 @@ def ext_union(G: IndexSet, H: IndexSet) -> IndexSet:
     contribute one extra log power there.  Terms on distinct integer
     cosets never interact.
     """
-    out = set(G.generators) | set(H.generators)
-    for g in G.generators:
-        for h in H.generators:
-            if g.z.im != h.z.im:
-                continue
-            if (g.z.re - h.z.re).denominator != 1:
-                continue
-            z = g.z if g.z.re >= h.z.re else h.z
-            out.add(IndexTerm(z, g.p + h.p + 1))
-    return normalize(out)
+    return ext_union_many((G, H))
 
 
 def ext_union_many(sets: Sequence[IndexSet]) -> IndexSet:
-    out = EMPTY
-    for s in sets:
-        out = ext_union(out, s)
-    return out
+    """Extended union of all the sets, one sweep per coset.
+
+    At each real part the result's count is the sum over the sets of
+    the largest count each set reaches there; the generators sit at the
+    real parts where that sum rises.
+    """
+    cosets = {}
+    for i, G in enumerate(sets):
+        for g in G.generators:
+            cosets.setdefault(_coset(g.z), []).append((g.z.re.numerator, i, g))
+    out = []
+    for group in cosets.values():
+        group.sort(key=itemgetter(0))
+        count, total, emitted = {}, 0, 0
+        for _, at_re in groupby(group, key=itemgetter(0)):
+            for _, i, g in at_re:
+                gain = g.p + 1 - count.get(i, 0)
+                if gain > 0:
+                    count[i] = g.p + 1
+                    total += gain
+            if total > emitted:
+                out.append(IndexTerm(g.z, total - 1))
+                emitted = total
+    return IndexSet(frozenset(out))
 
 
 def shift(G: IndexSet, w) -> IndexSet:
@@ -401,11 +437,11 @@ def pushforward_family(f, E: IndexFamily):
 
 def pullback_weights(f, w: WeightVector) -> WeightVector:
     """Pull a codomain weight vector back along the exponent matrix."""
-    out = {}
-    for g in f.domain_faces:
-        out[g] = sum((Fraction(f.exponent(g, h)) * w[h]
-                      for h in f.codomain_faces), Fraction(0))
-    return WeightVector(out)
+    carried = [(h, v) for h, v in w.assignment.items()
+               if h in f.codomain_faces]
+    return WeightVector({g: sum((f.exponent(g, h) * v for h, v in carried),
+                                Fraction(0))
+                         for g in f.domain_faces})
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ An operator class is a conormal order plus an index family over the five
 double-space faces.  Composition transforms the two families through the
 triple space: pull back along the outer projections, add the composition
 weight vector, push forward along the middle projection, and shift back
-by the double-space weights.  The deepest-face closed form, the mapping
+by the double-space weights.  ``composition_plan`` derives that pipeline
+once from the projection tables: for each double face, the triple faces
+over it with the factor faces they pull back from, so ``compose`` runs
+one sum per distinct pair of factor faces, one shift per triple face and
+one extended union per double face.  The full pullback and pushforward
+pipeline of ``index_algebra`` is kept as the test oracle for the plan.
+The deepest-face closed form, the mapping
 rule for polyhomogeneous inputs, adjoints, conjugation, the parametrix
 remainder ledger and the compactness thresholds are all stated at this
 class level.
@@ -15,15 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 from . import a_spaces as asp
 from . import densities as dn
 from . import index_algebra as ia
 from .a_spaces import Tower
-from .index_algebra import (EMPTY, INF, IndexFamily, IndexSet, add,
-                            ext_union_many, family, family_add, family_shift,
-                            inf_re, make, pullback_family, pushforward_family,
-                            shift)
+from .index_algebra import (EMPTY, INF, SMOOTH, IndexFamily, IndexSet, add,
+                            ext_union_many, family, inf_re, make, shift)
 
 NEG_INF = -math.inf
 DOUBLE_FACES = asp.double_face_names(2)
@@ -82,31 +87,69 @@ def _order_sum(a, b):
     return Fraction(a) + Fraction(b)
 
 
+def _composition_tower(P: OperatorClass, Q: OperatorClass) -> Tower:
+    if P.tower != Q.tower:
+        raise ValueError("operator classes live over different towers")
+    if P.tower.k != 2:
+        raise ValueError("operator composition needs tower depth 2")
+    return P.tower
+
+
+def _require_integrable(G: IndexSet, H: IndexSet, where: str) -> None:
+    """Strict integrability: inf Re of G + H must be positive."""
+    if inf_re(G) + inf_re(H) <= 0:
+        raise NonIntegrable([where])
+
+
+@lru_cache(maxsize=1)
+def composition_plan() -> tuple:
+    """The composition pipeline compiled from the projection tables.
+
+    A triple face g pulls back the P faces h with pi_3(g, h) = 1 and the
+    Q faces with pi_1(g, h) = 1 (no face gives the smooth set).  Returns
+    (pairs, null, terms): the distinct (P faces, Q faces) pairs; the
+    faces with a zero pi_2 row, which map onto the whole double space
+    and carry the integrability check; and for each double face h the
+    faces g with pi_2(g, h) = 1.  Faces come as (g, pair); every table
+    entry is 0 or 1, so no exponent is scaled or divided.
+    """
+    pi1, pi2, pi3 = asp.triple_projection_tables()
+
+    def over(pi, g):
+        return tuple(h for h in DOUBLE_FACES if pi.exponent(g, h))
+
+    faces = [(g, (over(pi3, g), over(pi1, g))) for g in pi2.domain_faces]
+    null = tuple((g, pq) for g, pq in faces if not over(pi2, g))
+    terms = {h: tuple((g, pq) for g, pq in faces if pi2.exponent(g, h))
+             for h in DOUBLE_FACES}
+    pairs = tuple(dict.fromkeys(pq for _, pq in faces))
+    return pairs, null, terms
+
+
 def compose(P: OperatorClass, Q: OperatorClass) -> OperatorClass:
-    """Class of the composite operator via the triple-space pipeline.
+    """Class of the composite operator via the compiled triple-space plan.
 
     Requires inf Re of P at the right face plus Q at the left face to be
     strictly positive; the same condition surfaces as a pushforward
     violation at the face projecting onto the whole double space.
     """
-    if P.tower != Q.tower:
-        raise ValueError("operator classes live over different towers")
-    t = P.tower
-    pre = add(P.family["rf"], Q.family["lf"])
-    v = inf_re(pre)
-    if v != INF and v <= 0:
-        raise NonIntegrable(["rf/lf"])
-    pi1, pi2, pi3 = asp.triple_projection_tables()
-    total = family_add(pullback_family(pi3, P.family),
-                       pullback_family(pi1, Q.family))
-    tw = dn.triple_weights(t)
-    total = family_shift(total, tw.W_a)
-    K, violations = pushforward_family(pi2, total)
+    t = _composition_tower(P, Q)
+    _require_integrable(P.family["rf"], Q.family["lf"], "rf/lf")
+    pairs, null, terms = composition_plan()
+    sums = {}
+    for pf, qf in pairs:
+        sets = [P.family[f] for f in pf] + [Q.family[f] for f in qf]
+        sums[pf, qf] = reduce(add, sets) if sets else SMOOTH
+    W_a = dn.triple_weights(t).W_a
+    violations = [g for g, pq in null if inf_re(sums[pq]) + W_a[g] <= 0]
     if violations:
         raise NonIntegrable(violations)
-    K = family_shift(K, -dn.double_weights(t).w_a)
-    K = IndexFamily(DOUBLE_FACES, {f: K[f] for f in DOUBLE_FACES})
-    return OperatorClass(_order_sum(P.order, Q.order), K, t)
+    w_a = dn.double_weights(t).w_a
+    K = {h: ext_union_many([shift(sums[pq], W_a[g] - w_a[h])
+                            for g, pq in terms[h]])
+         for h in DOUBLE_FACES}
+    return OperatorClass(_order_sum(P.order, Q.order),
+                         IndexFamily(DOUBLE_FACES, K), t)
 
 
 def ffz_closed_form(P: OperatorClass, Q: OperatorClass) -> IndexSet:
@@ -114,12 +157,8 @@ def ffz_closed_form(P: OperatorClass, Q: OperatorClass) -> IndexSet:
     the deepest-face sum, extended-united with the right-left cross term
     shifted by gamma_z, the middle-face terms shifted by gamma_z and by
     gamma_z - gamma_y."""
-    if P.tower != Q.tower:
-        raise ValueError("operator classes live over different towers")
-    pre = add(P.family["rf"], Q.family["lf"])
-    v = inf_re(pre)
-    if v != INF and v <= 0:
-        raise NonIntegrable(["rf/lf"])
+    _composition_tower(P, Q)
+    _require_integrable(P.family["rf"], Q.family["lf"], "rf/lf")
     gy, gz = dn.gamma(P.tower)
     I, J = P.family, Q.family
     return ext_union_many([
@@ -136,10 +175,7 @@ def act(P: OperatorClass, I: IndexSet) -> IndexSet:
     Requires inf Re of P at the right face plus the input set to be
     strictly positive.
     """
-    pre = add(P.family["rf"], I)
-    v = inf_re(pre)
-    if v != INF and v <= 0:
-        raise NonIntegrable(["rf"])
+    _require_integrable(P.family["rf"], I, "rf")
     J = P.family
     return ext_union_many([
         J["lf"],

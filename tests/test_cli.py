@@ -216,9 +216,9 @@ def _shallow_towers(tmp_path):
         yield str(p)
 
 
-def _needs_depth_2(args, capsys):
+def _needs_depth_2(args, capsys, what="model operators need"):
     assert run(args) == 1
-    assert capsys.readouterr().err == "model operators need tower depth 2\n"
+    assert capsys.readouterr().err == f"{what} tower depth 2\n"
 
 
 def test_normal_family_needs_depth_2(tmp_path, capsys):
@@ -233,3 +233,26 @@ def test_resolvent_check_needs_depth_2(tmp_path, capsys):
     for path in _shallow_towers(tmp_path):
         _needs_depth_2(["resolvent-check", "-c", path, "--lambda=-1"],
                        capsys)
+
+
+def test_compose_and_parametrix_need_depth_2(tmp_path, capsys):
+    from qhcalc.index_algebra import make
+    t = Tower(2, (1, 1, 1), 1, (1, 1))
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(oc.class_to_json(
+        oc.op_class(t, 0, lf=make((1, 0)), ff_z=make((0, 0))))))
+    for path in _shallow_towers(tmp_path):
+        _needs_depth_2(["compose", "-c", path, "-P", str(p), "-Q", str(p)],
+                       capsys, "operator composition needs")
+        _needs_depth_2(["parametrix", "-c", path], capsys,
+                       "operator composition needs")
+
+
+def test_operator_file_without_terms_is_usage_error(tower_file, tmp_path,
+                                                    capsys):
+    op = tmp_path / "op.json"
+    for data in ({}, [], {"terms": 3}):
+        op.write_text(json.dumps(data))
+        err = _one_line_usage_error(["normal-family", "-c", tower_file,
+                                     "-O", str(op)], capsys)
+        assert "'terms'" in err

@@ -59,8 +59,11 @@ def oracle_add(G, H, re_max, p_max):
 
 
 def oracle_ext_union(G, H, re_max, p_max):
-    wg = closure_window(G, re_max, p_max)
-    wh = closure_window(H, re_max, p_max)
+    return window_ext_union(closure_window(G, re_max, p_max),
+                            closure_window(H, re_max, p_max), p_max)
+
+
+def window_ext_union(wg, wh, p_max):
     out = set(wg) | set(wh)
     zs_g = {}
     zs_h = {}

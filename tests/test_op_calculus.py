@@ -1,6 +1,7 @@
 """Operator classes: composition, mapping, adjoints, parametrix chain."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -224,3 +225,146 @@ def test_compose_all_faces_against_derived_forms():
         }
         for face, expected in want.items():
             assert windowed_eq(R.family[face], expected, W_RE, W_P), face
+
+
+# --- the compiled plan against the full pipeline --------------------------
+
+def pipeline_compose(P, Q):
+    """Reference composition by the full triple-space pipeline: pull back
+    along pi_3 and pi_1, add, shift by W_a, push forward along pi_2 and
+    shift back by w_a."""
+    from qhcalc import a_spaces as asp
+    from qhcalc import densities as dn
+
+    t = P.tower
+    if ia.inf_re(P.family["rf"]) + ia.inf_re(Q.family["lf"]) <= 0:
+        raise oc.NonIntegrable(["rf/lf"])
+    pi1, pi2, pi3 = asp.triple_projection_tables()
+    total = ia.family_add(ia.pullback_family(pi3, P.family),
+                          ia.pullback_family(pi1, Q.family))
+    total = ia.family_shift(total, dn.triple_weights(t).W_a)
+    K, violations = ia.pushforward_family(pi2, total)
+    if violations:
+        raise oc.NonIntegrable(violations)
+    K = ia.family_shift(K, -dn.double_weights(t).w_a)
+    return ia.family(oc.DOUBLE_FACES, **K.assignment)
+
+
+def rand_face_set(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return EMPTY
+    if roll < 0.3:
+        return ia.SMOOTH
+    return ia.normalize([
+        ia.term(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])),
+                rng.choice([0, 0, 1]), rng.randint(0, 3))
+        for _ in range(rng.randint(1, 3))])
+
+
+def rand_full_class(rng, t):
+    return oc.op_class(t, 0, **{f: rand_face_set(rng)
+                                for f in oc.DOUBLE_FACES})
+
+
+def outcome(fn, P, Q):
+    """JSON family of the composite, or the faces it was rejected at."""
+    try:
+        R = fn(P, Q)
+    except oc.NonIntegrable as e:
+        return e.faces
+    return ia.family_to_json(getattr(R, "family", R))
+
+
+def test_compose_matches_pipeline_oracle():
+    rng = random.Random(83)
+    pool = [Tower(2, (1, a1, a2), b, (f1, f2))
+            for a1 in range(1, 4) for a2 in range(1, 4)
+            for b in range(4) for f1 in range(4) for f2 in range(4)]
+    towers = rng.sample(pool, 16)
+    integrable = 0
+    for _ in range(160):
+        t = rng.choice(towers)
+        P, Q = rand_full_class(rng, t), rand_full_class(rng, t)
+        want = outcome(pipeline_compose, P, Q)
+        assert outcome(oc.compose, P, Q) == want
+        integrable += isinstance(want, dict)
+    assert 40 <= integrable <= 120
+
+
+def test_compose_matches_pipeline_under_random_weights(monkeypatch):
+    # arbitrary weight vectors: the late violation at the faces with a
+    # zero pi_2 row (H_2) fires, and every shift of the plan is exercised
+    from types import SimpleNamespace
+
+    from qhcalc import a_spaces as asp
+    from qhcalc import densities as dn
+
+    rng = random.Random(89)
+    triple_faces = asp.triple_projection_tables()[1].domain_faces
+
+    def rand_weights(faces):
+        # H_2 leans negative so that it rejects pairs the pre-check passes
+        return ia.WeightVector({
+            f: Fraction(rng.randint(-8 if f == "H_2" else -4, 4),
+                        rng.choice([1, 2])) for f in faces})
+    late = runs = 0
+    while late < 6:                 # pairs rejected only at H_2
+        runs += 1
+        W = SimpleNamespace(W_a=rand_weights(triple_faces),
+                            w_a=rand_weights(oc.DOUBLE_FACES))
+        monkeypatch.setattr(dn, "triple_weights", lambda t: W)
+        monkeypatch.setattr(dn, "double_weights", lambda t: W)
+        P, Q = rand_full_class(rng, T), rand_full_class(rng, T)
+        want = outcome(pipeline_compose, P, Q)
+        assert outcome(oc.compose, P, Q) == want
+        late += want == ("H_2",)
+    assert runs >= 40               # and many more compared in full
+
+
+# The terms of test_compose_all_faces_against_derived_forms and of the
+# deepest-face closed form: (P face, Q face, shift), None for no face.
+DERIVED_TERMS = {
+    "rf": [(None, "rf", "0"), ("rf", "ff_zx", "0"), ("rf", "ff_zy", "0"),
+           ("rf", "ff_z", "0")],
+    "lf": [("lf", None, "0"), ("ff_zx", "lf", "0"), ("ff_zy", "lf", "0"),
+           ("ff_z", "lf", "0")],
+    "ff_zx": [("ff_zx", "ff_zx", "0"), ("lf", "rf", "0"),
+              ("ff_zx", "ff_zy", "0"), ("ff_zx", "ff_z", "0"),
+              ("ff_zy", "ff_zx", "0"), ("ff_z", "ff_zx", "0")],
+    "ff_zy": [("ff_zy", "ff_zy", "0"), ("lf", "rf", "gy"),
+              ("ff_zx", "ff_zx", "gy"), ("ff_zy", "ff_z", "0"),
+              ("ff_z", "ff_zy", "0")],
+    "ff_z": [("ff_z", "ff_z", "0"), ("lf", "rf", "gz"),
+             ("ff_zx", "ff_zx", "gz"), ("ff_zy", "ff_zy", "gz-gy")],
+}
+
+
+def test_composition_plan_lists_the_derived_terms():
+    from qhcalc import densities as dn
+
+    pairs, null, terms = oc.composition_plan()
+    t = Tower(2, (1, 2, 3), 1, (2, 1))
+    gy, gz = dn.gamma(t)
+    shifts = {"0": 0, "gy": gy, "gz": gz, "gz-gy": gz - gy}
+    W_a, w_a = dn.triple_weights(t).W_a, dn.double_weights(t).w_a
+
+    def one(faces):
+        assert len(faces) <= 1
+        return faces[0] if faces else None
+    for h, want in DERIVED_TERMS.items():
+        got = Counter((one(pf), one(qf), W_a[g] - w_a[h])
+                      for g, (pf, qf) in terms[h])
+        assert got == Counter((p, q, shifts[s]) for p, q, s in want), h
+    assert [g for g, _ in null] == ["H_2"]
+    assert null[0][1] == (("rf",), ("lf",))
+    # 23 terms over 18 distinct pairs, plus H_2's pair for the check
+    assert sum(map(len, terms.values())) == 23 and len(pairs) == 19
+
+
+def test_composition_needs_depth_2():
+    t1 = Tower(1, (1, 2), 1, (1,))
+    P = oc.small(t1, 0, 0)
+    for fn in (oc.compose, oc.ffz_closed_form):
+        with pytest.raises(ValueError, match="needs tower depth 2"):
+            fn(P, P)
