@@ -5,15 +5,13 @@ double-space faces.  Composition transforms the two families through the
 triple space: pull back along the outer projections, add the composition
 weight vector, push forward along the middle projection, and shift back
 by the double-space weights.  ``composition_plan`` derives that pipeline
-once from the projection tables: for each double face, the triple faces
-over it with the factor faces they pull back from, so ``compose`` runs
-one sum per distinct pair of factor faces, one shift per triple face and
-one extended union per double face.  The full pullback and pushforward
+once from the projection tables, so ``compose`` runs one sum per
+distinct pair of factor faces, one shift per triple face and one
+extended union per double face; the full pullback and pushforward
 pipeline of ``index_algebra`` is kept as the test oracle for the plan.
-The deepest-face closed form, the mapping
-rule for polyhomogeneous inputs, adjoints, conjugation, the parametrix
-remainder ledger and the compactness thresholds are all stated at this
-class level.
+The deepest-face closed form, the mapping rule for polyhomogeneous
+inputs, adjoints, conjugation, the parametrix remainder ledger and the
+compactness thresholds are all stated at this class level.
 """
 
 from __future__ import annotations
