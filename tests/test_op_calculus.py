@@ -267,13 +267,16 @@ def rand_full_class(rng, t):
                                 for f in oc.DOUBLE_FACES})
 
 
-def outcome(fn, P, Q):
+def compose_family(P, Q):
+    return oc.compose(P, Q).family
+
+
+def outcome(family_of, P, Q):
     """JSON family of the composite, or the faces it was rejected at."""
     try:
-        R = fn(P, Q)
+        return ia.family_to_json(family_of(P, Q))
     except oc.NonIntegrable as e:
         return e.faces
-    return ia.family_to_json(getattr(R, "family", R))
 
 
 def test_compose_matches_pipeline_oracle():
@@ -287,7 +290,7 @@ def test_compose_matches_pipeline_oracle():
         t = rng.choice(towers)
         P, Q = rand_full_class(rng, t), rand_full_class(rng, t)
         want = outcome(pipeline_compose, P, Q)
-        assert outcome(oc.compose, P, Q) == want
+        assert outcome(compose_family, P, Q) == want
         integrable += isinstance(want, dict)
     assert 40 <= integrable <= 120
 
@@ -317,7 +320,7 @@ def test_compose_matches_pipeline_under_random_weights(monkeypatch):
         monkeypatch.setattr(dn, "double_weights", lambda t: W)
         P, Q = rand_full_class(rng, T), rand_full_class(rng, T)
         want = outcome(pipeline_compose, P, Q)
-        assert outcome(oc.compose, P, Q) == want
+        assert outcome(compose_family, P, Q) == want
         late += want == ("H_2",)
     assert runs >= 40               # and many more compared in full
 
