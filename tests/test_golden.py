@@ -7,7 +7,11 @@ exit code and stdout, followed by its stderr when there is any.  The
 calculus reports (``compose``, a rejected ``compose``, ``act`` and
 ``parametrix``) run on the fixed class and index-set files of
 ``INPUTS`` and were written before composition was compiled into a
-per-face plan.  The engine files hold the whole tracked state
+per-face plan.  The model-operator reports (``normal-family``,
+``resolvent-check``) and ``tower validate`` and ``export-dot --space
+double`` were written before ``Coeff`` and ``PiPoly`` were rebuilt on
+one sparse algebra; on the depth-0 and depth-1 towers the model
+operator files hold the one-line depth error.  The engine files hold the whole tracked state
 (valuations, merges, strata, diagonal meet sets, registry, history) of
 the double space and of the symmetric and commuted triple spaces, which
 the reports show only in part.  To write them from a checkout
@@ -53,6 +57,17 @@ COMMANDS = {
     "compose_rejected": ["compose", "-P", "P.json", "-Q", "Qbad.json"],
     "act": ["act", "-P", "P.json", "-I", "I.json"],
     "parametrix": ["parametrix", "-m", "3/2", "--format", "json"],
+    "tower_validate": ["tower", "validate", "--format", "json"],
+    "export_dot_double": ["export-dot", "--space", "double"],
+    # the default Laplacian: exact angle-polynomial entries
+    "normal_family": ["normal-family", "--mu", "MU", "--N", "2"],
+    # trig modes at a base point with phase 1/3: float entries
+    "normal_family_trig": ["normal-family", "-O", "Op.json", "--point",
+                           "POINT", "--mu", "MU", "--N", "2"],
+    "resolvent_invertible": ["resolvent-check", "--lambda=-1+i", "--N", "2",
+                             "--radius", "2"],
+    "resolvent_spectrum": ["resolvent-check", "--lambda=1+4pi^2", "--N",
+                           "2", "--radius", "2"],
 }
 
 # Operator classes and an index set for the calculus reports: complex
@@ -75,6 +90,37 @@ INPUTS = {
         "lf": [["-1/2", "0/1", 0]], "ff_z": [["0/1", "0/1", 0]]}},
     "I.json": {"set": [["1/1", "0/1", 0], ["1/2", "1/1", 1]]},
 }
+
+
+def _operator(cfg) -> dict:
+    """A model operator sized to the tower: Laplacian-like top terms, a
+    trig potential in the first base and deep-fibre directions, and a
+    coefficient with an x power that vanishes at the boundary."""
+    b, f = cfg["b"], cfg["f"]
+    f1, f2 = (f + [0, 0])[:2]
+    nm = b + sum(f)
+
+    def mi(alpha=0, I=0, K=0):
+        return {"alpha": alpha, "I": [I] + [0] * (b - 1), "J": [0] * f1,
+                "K": [K] + [0] * (f2 - 1)}
+
+    def modes(y, w):
+        return [y] + [0] * (nm - 2) + [w]
+    return {"terms": [
+        dict(mi(alpha=2), coeff={"x_poly": [[0, "1", "0"], [1, "2", "1"]]}),
+        dict(mi(K=2)),
+        dict(mi(I=1), coeff={"x_poly": [[0, "0", "-1/2"]]}),
+        dict(mi(), coeff={"x_poly": [[0, "3", "0"]], "trig": [
+            {"modes": modes(1, 1), "re": "1/2", "im": "1/4"},
+            {"modes": modes(-1, -1), "re": "1/2", "im": "-1/4"}]})]}
+
+
+def _tower_args(cfg) -> dict:
+    """Base point and conormal parameter sized to the tower's model dims."""
+    n = cfg["b"] + sum(cfg["f"][:1])
+    return {"POINT": ",".join(["1/3"] + ["0"] * (n - 1)),
+            "MU": ",".join(["1/2"] + ["-1"] * n)}
+
 
 DEPTH2_ONLY = ("space_triple", "weights", "export_dot_triple", "compose",
                "compose_rejected", "act", "parametrix")
@@ -130,9 +176,12 @@ def _engine_state(tower: str) -> str:
 def _run(tower: str, command: str, tmp: pathlib.Path):
     cfg = tmp / f"{tower}.json"
     cfg.write_text(json.dumps(TOWERS[tower]))
-    for name, data in INPUTS.items():
+    inputs = dict(INPUTS, **{"Op.json": _operator(TOWERS[tower])})
+    for name, data in inputs.items():
         (tmp / name).write_text(json.dumps(data))
-    argv = [str(tmp / a) if a in INPUTS else a for a in COMMANDS[command]]
+    subst = _tower_args(TOWERS[tower])
+    argv = [str(tmp / a) if a in inputs else subst.get(a, a)
+            for a in COMMANDS[command]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv + ["-c", str(cfg)])
