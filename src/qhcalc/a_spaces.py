@@ -510,35 +510,14 @@ def canonical_triple() -> ASpaceTriple:
     return triple_space(CANONICAL_TOWER)
 
 
-@dataclass(frozen=True)
-class ProjectionTable:
-    """Light exponent-matrix view of a projection (all entries 0 or 1)."""
-
-    domain_faces: tuple
-    codomain_faces: tuple
-    ones: frozenset
-
-    def exponent(self, g: str, h: str) -> int:
-        return 1 if (g, h) in self.ones else 0
-
-    def face_map(self, g: str):
-        return frozenset(h for (a, h) in self.ones if a == g)
-
-
-@lru_cache(maxsize=None)
 def triple_projection_tables() -> tuple:
-    """The three projection exponent tables, computed once.
+    """The three projection b-maps of the canonical triple space.
 
     The face combinatorics of the triple space does not depend on the
     tower's orders or dimensions (only weights do), so the canonical
     construction serves every tower.
     """
-    trip = canonical_triple()
-    out = []
-    for p in trip.projections:
-        ones = frozenset((g, h) for g, h, e in p.exponents if e)
-        out.append(ProjectionTable(p.domain_faces, p.codomain_faces, ones))
-    return tuple(out)
+    return canonical_triple().projections
 
 
 def triple_constructions_isomorphic(t: Tower, stage: str = "z"):

@@ -57,16 +57,18 @@ def _rational(option: str, text: str) -> Fraction:
             from None
 
 
+def _truncation(args) -> int:
+    if args.N < 0:
+        raise UsageError(f"--N must be nonnegative, got {args.N}")
+    return args.N
+
+
 def _emit(args, text: str):
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _fmt_weights(w) -> dict:
-    return ia.weights_to_json(w)
 
 
 def cmd_tower_validate(args) -> int:
@@ -160,13 +162,13 @@ def cmd_weights(args) -> int:
     rng = random.Random(args.seed)
     sweep = _weight_sweep(t, rng, args.sweep)
     data = {"gamma": [str(g) for g in gam],
-            "double": {"w_a0": _fmt_weights(dw.w_a0),
-                       "w_a": _fmt_weights(dw.w_a),
-                       "w_tilde": _fmt_weights(dw.w_tilde)},
-            "triple": {"W_a0": _fmt_weights(tw.W_a0),
-                       "W_a_adopted": _fmt_weights(tw.W_a),
+            "double": {"w_a0": ia.weights_to_json(dw.w_a0),
+                       "w_a": ia.weights_to_json(dw.w_a),
+                       "w_tilde": ia.weights_to_json(dw.w_tilde)},
+            "triple": {"W_a0": ia.weights_to_json(tw.W_a0),
+                       "W_a_adopted": ia.weights_to_json(tw.W_a),
                        "W_a_displayed":
-                           _fmt_weights(dn.displayed_w_a(t))},
+                           ia.weights_to_json(dn.displayed_w_a(t))},
             "sign_discrepancy_note":
                 "the adopted W_a follows the intermediate pullback-sum "
                 "arithmetic and the closed-form composition cross-check; "
@@ -281,11 +283,14 @@ def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
     nm = b + f1 + f2
     terms = {}
     for item in data["terms"]:
+        spec = item.get("coeff", {}) if isinstance(item, dict) else None
+        if not isinstance(spec, dict):
+            raise UsageError(f"{path}: each term and its 'coeff' is a JSON "
+                             "object")
         mu = (int(item.get("alpha", 0)),
               tuple(item.get("I", [0] * b)),
               tuple(item.get("J", [0] * f1)),
               tuple(item.get("K", [0] * f2)))
-        spec = item.get("coeff", {})
         xp = spec.get("x_poly", [[0, "1", "0"]])
         trig = spec.get("trig", [{"modes": [0] * nm, "re": "1", "im": "0"}])
         c = ms.Coeff()
@@ -307,11 +312,11 @@ def cmd_normal_family(args) -> int:
         P = _load_operator(t, args.operator)
     else:
         P = ms.model_laplacian(t)
-    point = tuple(Fraction(x) for x in (args.point.split(",") if args.point
-                                        else ["0"] * (t.b + t.f[0])))
-    mu = tuple(Fraction(x) for x in (args.mu.split(",") if args.mu
-                                     else ["0"] * (1 + t.b + t.f[0])))
-    M = ms.normal_family_matrix(P, point, mu, args.N)
+    point = tuple(_rational("--point", x) for x in (
+        args.point.split(",") if args.point else ["0"] * (t.b + t.f[0])))
+    mu = tuple(_rational("--mu", x) for x in (
+        args.mu.split(",") if args.mu else ["0"] * (1 + t.b + t.f[0])))
+    M = ms.normal_family_matrix(P, point, mu, _truncation(args))
     entries = {}
     for (r, c), v in sorted(M.entries.items(), key=repr):
         key = f"{list(r)}|{list(c)}"
@@ -363,7 +368,7 @@ def cmd_resolvent_check(args) -> int:
     step = _rational("--step", args.step)
     if step <= 0 or radius < 0:
         raise UsageError("--step must be positive and --radius nonnegative")
-    r = ms.resolvent_model_check(t, re0, re2, im, N=args.N,
+    r = ms.resolvent_model_check(t, re0, re2, im, N=_truncation(args),
                                  radius=radius, step=step)
     if r["invertible"]:
         _emit(args, f"fully elliptic; margin {r['margin']:.12g}")

@@ -34,9 +34,12 @@ as `from_pairs` and `reduce_by` can merge a pair at a level but not at
 a shallower one.  `join` is a per-level union-find with a bounded cache.
 A `Face` keeps its valuations in a dict; a `Space` indexes faces by name
 and keeps its strata as bitmasks over face positions (faces are only
-appended), so `meets`, `neighborhood` and `face_closure` are bit work.
+appended), so `meets`, `neighborhood` and the face closure of a locus
+are bit work.  A `BMap` stores its exponent matrix by rows, each domain
+face mapped to its ((codomain face, e), ...) nonzeros, so an entry or
+a face image reads one row and composition joins rows.
 
-Memo scope.  `canon_merge`, `face_closure` and `neighborhood` are pure,
+Memo scope.  `canon_merge`, `_closure` and `neighborhood` are pure,
 and are memoized inside a scope that `blowup`, `Space.disjoint` or
 `Space.psub_meets` opens on its space; nested scopes share it and it is
 dropped when the outermost returns.  A memo kept as long as its space
@@ -447,19 +450,15 @@ class Space:
         """
         return locus.merge.join(self._faces_merged(locus.faces))
 
-    def face_closure(self, locus: Locus) -> frozenset:
-        """Faces provably containing the locus.
+    @_memoized
+    def _closure(self, locus: Locus) -> int:
+        """Mask of the faces provably containing the locus.
 
         Growth rules: a merged boundary coordinate lagging behind its
         partner along a listed face must pick up its unique available
         compensating face; and the front face of any past step whose
         center is implied by the locus contains the lift.
         """
-        return frozenset(self._names(self._closure(locus)))
-
-    @_memoized
-    def _closure(self, locus: Locus) -> int:
-        """`face_closure` as a face mask."""
         cl = self._mask(locus.faces)
         cm = self.canon_merge(locus)
         pairs = [p for b in cm.at(-1)
@@ -604,13 +603,13 @@ class Space:
 # ---------------------------------------------------------------------------
 # b-maps
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BMap:
     """Boundary-respecting map: integer exponent matrix plus face images."""
 
     domain: Space
     codomain: Space
-    exponents: tuple               # ((dom_face, cod_face, e), ...) nonzeros
+    rows: dict                     # dom_face -> ((cod_face, e), ...) nonzeros
     step: Optional[Step] = None
 
     @property
@@ -621,50 +620,51 @@ class BMap:
     def codomain_faces(self):
         return self.codomain.face_names
 
+    @property
+    def exponents(self) -> tuple:
+        """((dom_face, cod_face, e), ...) nonzeros, row by row."""
+        return tuple((g, h, e) for g, row in self.rows.items()
+                     for h, e in row)
+
     def exponent(self, g: str, h: str) -> int:
-        for a, b, e in self.exponents:
-            if a == g and b == h:
+        for b, e in self.rows.get(g, ()):
+            if b == h:
                 return e
         return 0
 
     def face_map(self, g: str):
         """Image faces (empty frozenset: maps onto the interior)."""
-        return frozenset(h for a, h, e in self.exponents if a == g and e > 0)
+        return frozenset(h for h, _ in self.rows.get(g, ()))
 
     def matrix(self):
         return [[self.exponent(g, h) for h in self.codomain_faces]
                 for g in self.domain_faces]
 
-    def exponent_vector(self, h: str):
-        return tuple(self.exponent(g, h) for g in self.domain_faces)
-
 
 def bmap_from_entries(dom: Space, cod: Space, entries, step=None) -> BMap:
-    nz = []
+    rows = {}
     for g, h, e in entries:
         e = int(e)
         if e < 0:
             raise ValueError("exponent matrix entries must be >= 0")
         if e:
-            nz.append((g, h, e))
-    return BMap(dom, cod, tuple(nz), step)
+            rows.setdefault(g, []).append((h, e))
+    return BMap(dom, cod, {g: tuple(r) for g, r in rows.items()}, step)
 
 
 def compose(f: BMap, g: BMap) -> BMap:
     """Composite map: apply f first, then g."""
     if f.codomain.face_names != g.domain.face_names:
         raise ValueError("b-map composition: face lists do not match")
-    entries = []
+    rows = {}
     for a in f.domain_faces:
         row = {}
-        for b, c, e in f.exponents:
-            if b != a:
-                continue
-            for c2, d, e2 in g.exponents:
-                if c2 == c:
-                    row[d] = row.get(d, 0) + e * e2
-        entries.extend((a, d, e) for d, e in sorted(row.items()))
-    return bmap_from_entries(f.domain, g.codomain, entries)
+        for c, e in f.rows.get(a, ()):
+            for d, e2 in g.rows.get(c, ()):
+                row[d] = row.get(d, 0) + e * e2
+        if row:
+            rows[a] = tuple(sorted(row.items()))
+    return BMap(f.domain, g.codomain, rows)
 
 
 def identity_bmap(space: Space) -> BMap:

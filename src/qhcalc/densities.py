@@ -68,13 +68,6 @@ def double_weights(t: Tower) -> DoubleWeights:
     return DoubleWeights(w_a0, w_a, w_tilde)
 
 
-TRIPLE_WEIGHT_FACES = ("V_y", "G_{1,y}", "G_{2,y}", "G_{3,y}",
-                       "E_{1,y}", "E_{2,y}", "E_{3,y}",
-                       "V_z", "F_{1,z}", "F_{2,z}", "F_{3,z}",
-                       "G_{1,z}", "G_{2,z}", "G_{3,z}",
-                       "E_{1,z}", "E_{2,z}", "E_{3,z}")
-
-
 @dataclass(frozen=True)
 class TripleWeights:
     W_a0: WeightVector

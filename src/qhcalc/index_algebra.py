@@ -371,9 +371,10 @@ def family_shift(E: IndexFamily, w: WeightVector) -> IndexFamily:
 # ---------------------------------------------------------------------------
 # pullback and pushforward along b-maps
 #
-# The map argument only needs the combinatorial data of a b-map: face
-# lists of both spaces and the integer exponent matrix.  corner_spaces
-# BMap satisfies this protocol.
+# The map argument only needs the combinatorial data of a b-map: the
+# face lists `domain_faces` and `codomain_faces` and the integer entries
+# `exponent(g, h)`.  corner_spaces BMap satisfies this protocol and reads
+# an entry from one row of its matrix.
 
 def pullback_family(f, E: IndexFamily) -> IndexFamily:
     """Transform a codomain family into a domain family along f.

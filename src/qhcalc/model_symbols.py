@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -37,14 +38,44 @@ TWO_PI = 2.0 * math.pi
 
 I_UNIT = cx(0, 1)
 MINUS_I = cx(0, -1)
-ONE = cx(1)
 ZERO = cx(0)
 
 
 # ---------------------------------------------------------------------------
 # exact coefficients: x-powers, torus modes, powers of the full angle
 
-class Coeff(dict):
+class _Sparse(dict):
+    """Sparse polynomial: monomial key -> nonzero Gaussian rational.
+
+    `_key_add` says how two keys add when their monomials multiply:
+    as integers here, componentwise in `Coeff`.
+    """
+
+    _key_add = staticmethod(operator.add)
+
+    def acc(self, key, value: CxRat) -> None:
+        """Add value at key; the key is dropped when the sum is 0."""
+        s = self.get(key, ZERO) + value
+        if s.re == 0 and s.im == 0:
+            self.pop(key, None)
+        else:
+            self[key] = s
+
+    def __add__(self, other):
+        out = type(self)(self)
+        for k, v in other.items():
+            out.acc(k, v)
+        return out
+
+    def __mul__(self, other):
+        out = type(self)()
+        for k1, v1 in self.items():
+            for k2, v2 in other.items():
+                out.acc(self._key_add(k1, k2), v1 * v2)
+        return out
+
+
+class Coeff(_Sparse):
     """Map (x power, modes, angle power) -> Gaussian rational.
 
     Modes run over all torus coordinates in the order (y, z, w); the
@@ -52,27 +83,10 @@ class Coeff(dict):
     fibre direction multiplies by (angle * mode) exactly.
     """
 
-    def __add__(self, other):
-        out = Coeff(self)
-        for k, v in other.items():
-            s = out.get(k, ZERO) + v
-            if s.re == 0 and s.im == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
-
-    def __mul__(self, other):
-        out = Coeff()
-        for (n1, m1, w1), v1 in self.items():
-            for (n2, m2, w2), v2 in other.items():
-                k = (n1 + n2, tuple(a + b for a, b in zip(m1, m2)), w1 + w2)
-                s = out.get(k, ZERO) + v1 * v2
-                if s.re == 0 and s.im == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
+    @staticmethod
+    def _key_add(k1, k2):
+        (n1, m1, w1), (n2, m2, w2) = k1, k2
+        return (n1 + n2, tuple(a + b for a, b in zip(m1, m2)), w1 + w2)
 
     def scale(self, v: CxRat) -> "Coeff":
         if v.re == 0 and v.im == 0:
@@ -149,7 +163,13 @@ class ADiffOp:
     terms: tuple   # ((MultiIndex, Coeff), ...), nonzero, sorted
 
     def __post_init__(self):
-        model_dims(self.tower)
+        dims = model_dims(self.tower)
+        for mu, c in self.terms:
+            if tuple(len(part) for part in mu[1:]) != dims:
+                raise ValueError(f"multi-index {mu} needs I, J, K of "
+                                 f"lengths {dims}")
+            if any(len(m) != sum(dims) for _, m, _ in c):
+                raise ValueError(f"coefficient modes need length {sum(dims)}")
 
     @property
     def order(self) -> int:
@@ -240,11 +260,7 @@ def _apply_gen_to_coeff(t: Tower, kind: str, index: int, c: Coeff) -> Coeff:
                 continue
             k = (n + _gen_xweight(t, kind), m, w + 1)
             add = v * m[pos]
-        s = out.get(k, ZERO) + add
-        if s.re == 0 and s.im == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
+        out.acc(k, add)
     return out
 
 
@@ -335,12 +351,6 @@ class SymbolPoly:
     tower: Tower
     degree: int
     terms: tuple
-
-    def coeff(self, mu) -> Coeff:
-        for m, c in self.terms:
-            if m == mu:
-                return c
-        return Coeff()
 
 
 def principal_symbol(P: ADiffOp) -> SymbolPoly:
@@ -643,29 +653,8 @@ def kernel_coeff_check(P: ADiffOp) -> dict:
 # ---------------------------------------------------------------------------
 # normal family matrices on truncated fibre modes
 
-class PiPoly(dict):
+class PiPoly(_Sparse):
     """Exact polynomial in the full-angle symbol: power -> Gaussian rational."""
-
-    def __add__(self, other):
-        out = PiPoly(self)
-        for k, v in other.items():
-            s = out.get(k, ZERO) + v
-            if s.re == 0 and s.im == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
-
-    def __mul__(self, other):
-        out = PiPoly()
-        for k1, v1 in self.items():
-            for k2, v2 in other.items():
-                s = out.get(k1 + k2, ZERO) + v1 * v2
-                if s.re == 0 and s.im == 0:
-                    out.pop(k1 + k2, None)
-                else:
-                    out[k1 + k2] = s
-        return out
 
     def numeric(self) -> complex:
         return sum(complex(v.re, v.im) * (TWO_PI ** k)
@@ -770,12 +759,7 @@ def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
         for m, row, col, wpow, kfac, v in _mode_entries(c, K, modes, N, sw):
             val = v * (base * kfac)
             if exact:
-                ent = entries.setdefault((row, col), PiPoly())
-                s = ent.get(wpow, ZERO) + val
-                if s.re == 0 and s.im == 0:
-                    ent.pop(wpow, None)
-                else:
-                    ent[wpow] = s
+                entries.setdefault((row, col), PiPoly()).acc(wpow, val)
                 continue
             phase = float(phases[m])
             ph = complex(math.cos(TWO_PI * phase), math.sin(TWO_PI * phase))
@@ -783,15 +767,6 @@ def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
                 + complex(val.re, val.im) * (TWO_PI ** wpow) * ph
     entries = {k: v for k, v in entries.items() if v}
     return NormalFamilyMatrix(t, point, mu, N, modes, entries, exact)
-
-
-def matrices_equal(A: NormalFamilyMatrix, B: NormalFamilyMatrix,
-                   tol: float = 1e-10) -> bool:
-    if A.exact and B.exact:
-        keys = set(A.entries) | set(B.entries)
-        return all(A.entries.get(k, PiPoly()) == B.entries.get(k, PiPoly())
-                   for k in keys)
-    return bool(np.allclose(A.to_array(), B.to_array(), atol=tol, rtol=0))
 
 
 def matrix_product(A: NormalFamilyMatrix, B: NormalFamilyMatrix):
@@ -905,44 +880,27 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
         # exact membership: need |mu|^2 = lam_re0 and |k|^2 = lam_re2
         step_f = Fraction(step)
         target0 = Fraction(lam_re0)
-        ok0 = _is_grid_norm(target0, dim, radius, step_f)
+        grid = [step_f * i for i in range(int(Fraction(radius) / step_f) + 1)]
+        ok0 = _is_sum_of_squares(target0, dim, grid)
         r2 = Fraction(lam_re2) / 4
         ok2 = (r2.denominator == 1 and
-               _is_mode_norm(int(r2), f2, N))
+               _is_sum_of_squares(int(r2), f2, range(N + 1)))
         if ok0 and ok2:
             witness = {"mu_norm_sq": str(target0), "k_norm_sq": str(r2)}
     return {"min_distance": float(dist[arg]),
             "witness": witness}
 
 
-def _is_grid_norm(target: Fraction, dim: int, radius, step: Fraction) -> bool:
-    n = int(Fraction(radius) / step)
-    vals = [step * i for i in range(0, n + 1)]
-    sq = [v * v for v in vals]
+def _is_sum_of_squares(target, count: int, values) -> bool:
+    """Whether target is a sum of `count` squares of the given values."""
+    sq = [v * v for v in values]
 
     def rec(d, rem):
-        if rem < 0:
-            return False
         if d == 0:
             return rem == 0
         return any(rec(d - 1, rem - s) for s in sq if s <= rem)
 
-    return rec(dim, target)
-
-
-def _is_mode_norm(target: int, f2: int, N: int) -> bool:
-    if f2 == 0:
-        return target == 0
-
-    def rec(d, rem):
-        if rem < 0:
-            return False
-        if d == 0:
-            return rem == 0
-        return any(rec(d - 1, rem - k * k) for k in range(0, N + 1)
-                   if k * k <= rem)
-
-    return rec(f2, target)
+    return rec(count, target)
 
 
 def resolvent_model_check(t: Tower, lam_re0, lam_re2, lam_im, N: int = 8,

@@ -5,7 +5,7 @@ double-space faces.  Composition transforms the two families through the
 triple space: pull back along the outer projections, add the composition
 weight vector, push forward along the middle projection, and shift back
 by the double-space weights.  ``composition_plan`` derives that pipeline
-once from the projection tables, so ``compose`` runs one sum per
+once from the triple projections, so ``compose`` runs one sum per
 distinct pair of factor faces, one shift per triple face and one
 extended union per double face; the full pullback and pushforward
 pipeline of ``index_algebra`` is kept as the test oracle for the plan.
@@ -101,15 +101,15 @@ def _require_integrable(G: IndexSet, H: IndexSet, where: str) -> None:
 
 @lru_cache(maxsize=1)
 def composition_plan() -> tuple:
-    """The composition pipeline compiled from the projection tables.
+    """The composition pipeline compiled from the triple projections.
 
     A triple face g pulls back the P faces h with pi_3(g, h) = 1 and the
     Q faces with pi_1(g, h) = 1 (no face gives the smooth set).  Returns
     (pairs, null, terms): the distinct (P faces, Q faces) pairs; the
     faces with a zero pi_2 row, which map onto the whole double space
     and carry the integrability check; and for each double face h the
-    faces g with pi_2(g, h) = 1.  Faces come as (g, pair); every table
-    entry is 0 or 1, so no exponent is scaled or divided.
+    faces g with pi_2(g, h) = 1.  Faces come as (g, pair); every
+    projection exponent is 0 or 1, so no exponent is scaled or divided.
     """
     pi1, pi2, pi3 = asp.triple_projection_tables()
 
@@ -317,6 +317,9 @@ def hilbert_schmidt(p, k, t: Tower) -> bool:
     """Square-integrable kernel threshold: boundary weight above half the
     deepest density weight minus one, order below minus half the
     dimension."""
+    if t.k < 1:
+        raise ValueError("the Hilbert-Schmidt threshold needs tower depth "
+                         f">= 1, got depth {t.k}")
     gz = dn.gamma(t)[-1]
     return (Fraction(p) > Fraction(gz - 1, 2)
             and Fraction(k) < Fraction(-t.dim, 2))

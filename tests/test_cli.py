@@ -256,3 +256,37 @@ def test_operator_file_without_terms_is_usage_error(tower_file, tmp_path,
         err = _one_line_usage_error(["normal-family", "-c", tower_file,
                                      "-O", str(op)], capsys)
         assert "'terms'" in err
+
+
+def test_operator_term_or_coeff_not_an_object_is_usage_error(tower_file,
+                                                             tmp_path,
+                                                             capsys):
+    op = tmp_path / "op.json"
+    for data in ({"terms": [1]}, {"terms": [{"coeff": []}]}):
+        op.write_text(json.dumps(data))
+        err = _one_line_usage_error(["normal-family", "-c", tower_file,
+                                     "-O", str(op)], capsys)
+        assert "'coeff'" in err
+
+
+def test_bad_point_mu_or_truncation_is_usage_error(tower_file, capsys):
+    for opt, value in (("--point", "1/3,x"), ("--mu", "1,0,1/0")):
+        err = _one_line_usage_error(["normal-family", "-c", tower_file,
+                                     opt, value], capsys)
+        assert opt in err
+    for args in (["normal-family"], ["resolvent-check", "--lambda=-1"]):
+        err = _one_line_usage_error(args + ["-c", tower_file, "--N", "-1"],
+                                    capsys)
+        assert "--N" in err
+
+
+def test_operator_shape_mismatch_is_domain_error(tower_file, tmp_path,
+                                                 capsys):
+    op = tmp_path / "op.json"
+    for data, what in (({"terms": [{"I": [0, 0, 0]}]}, "lengths (1, 1, 1)"),
+                       ({"terms": [{"coeff": {"trig": [{"modes": [1]}]}}]},
+                        "modes need length 3")):
+        op.write_text(json.dumps(data))
+        assert run(["normal-family", "-c", tower_file, "-O", str(op)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and what in err

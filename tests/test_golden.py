@@ -11,12 +11,12 @@ per-face plan.  The model-operator reports (``normal-family``,
 ``resolvent-check``) and ``tower validate`` and ``export-dot --space
 double`` were written before ``Coeff`` and ``PiPoly`` were rebuilt on
 one sparse algebra; on the depth-0 and depth-1 towers the model
-operator files hold the one-line depth error.  The engine files hold the whole tracked state
-(valuations, merges, strata, diagonal meet sets, registry, history) of
-the double space and of the symmetric and commuted triple spaces, which
-the reports show only in part.  To write them from a checkout
-whose reports are trusted, run ``python tests/test_golden.py`` with that
-checkout's ``src`` on ``PYTHONPATH``.
+operator files hold the one-line depth error.  The engine files hold
+the whole tracked state (valuations, merges, strata, diagonal meet
+sets, registry, history) of the double space and of the symmetric and
+commuted triple spaces, which the reports show only in part.  To write
+them from a checkout whose reports are trusted, run ``python
+tests/test_golden.py`` with that checkout's ``src`` on ``PYTHONPATH``.
 
 The depth-2 tower with non-unit orders freezes a known defect:
 ``space triple`` reports ``constructions_isomorphic: false`` for it,

@@ -22,12 +22,15 @@ T = Tower(2, (1, 1, 1), 1, (1, 1))
 
 def rand_op(rng, t, max_order=2, w_only=True):
     nm = t.b + sum(t.f)
+    dims = ms.model_dims(t)
     terms = {}
     for _ in range(rng.randint(1, 3)):
         parts = [0, 0, 0, 0]
         for _ in range(rng.randint(0, max_order)):
             parts[rng.randint(0, 3)] += 1
-        mu = (parts[0], (parts[1],), (parts[2],), (parts[3],))
+        # the first I, J and K entries carry the orders; the rest are 0
+        mu = (parts[0],) + tuple((p,) + (0,) * (n - 1)
+                                 for p, n in zip(parts[1:], dims))
         modes = [0] * nm
         if rng.random() < 0.5:
             # trig dependence in the deep fibre only keeps phases exact
@@ -40,7 +43,7 @@ def rand_op(rng, t, max_order=2, w_only=True):
         if not c.is_zero():
             terms[mu] = terms.get(mu, ms.Coeff()) + c
     if not terms:
-        terms = {(0, (0,), (0,), (0,)): ms.coeff_const(t, 1)}
+        terms = {(0,) + tuple((0,) * n for n in dims): ms.coeff_const(t, 1)}
     return ms.make_op(t, terms)
 
 
@@ -263,6 +266,18 @@ def test_resolvent_model_check():
                                   step=Fraction(1, 2))
     assert not r3["invertible"]
     assert r3["witness"] == {"mu_norm_sq": "0", "k_norm_sq": "1"}
+
+
+def test_operator_shape_checked_when_built():
+    # T has b = f1 = f2 = 1; the mode arithmetic would silently zip
+    # three base entries, a short K or a two-mode coefficient down
+    bad_mu = [(0, (0, 0, 0), (0,), (0,)), (0, (0,), (0,), ())]
+    for mu in bad_mu:
+        with pytest.raises(ValueError, match=r"lengths \(1, 1, 1\)"):
+            ms.make_op(T, {mu: 1})
+    with pytest.raises(ValueError, match="modes need length 3"):
+        ms.make_op(T, {(0, (0,), (0,), (0,)):
+                       ms.Coeff({(0, (0, 1), 0): cx(1)})})
 
 
 def test_weighted_field_validator():

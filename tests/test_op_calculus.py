@@ -171,6 +171,13 @@ def test_compact_and_hilbert_schmidt():
     assert not oc.hilbert_schmidt(3, -2, T)
 
 
+def test_hilbert_schmidt_needs_depth_1():
+    # depth 0 has no front-face weight to compare against
+    with pytest.raises(ValueError, match="got depth 0"):
+        oc.hilbert_schmidt(3, -3, Tower(0, (1,), 1, ()))
+    assert oc.hilbert_schmidt(3, -3, Tower(1, (1, 1), 1, (1,)))
+
+
 def test_order_convention_identity():
     assert oc.order_convention_identity(T, Fraction(1, 2), Fraction(-3, 4))
     assert oc.order_convention_identity(Tower(2, (1, 2, 3), 2, (0, 1)), 5, 7)
