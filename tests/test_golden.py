@@ -14,7 +14,10 @@ one sparse algebra; on the depth-0 and depth-1 towers the model
 operator files hold the one-line depth error.  The engine files hold
 the whole tracked state (valuations, merges, strata, diagonal meet
 sets, registry, history) of the double space and of the symmetric and
-commuted triple spaces, which the reports show only in part.  To write
+commuted triple spaces, which the reports show only in part.  Three
+depth-2 towers with a zero base or fibre dimension, and the stdout of
+each demo script run in this process, were frozen before the triple
+space's levels x, y and z were rebuilt as one level loop.  To write
 them from a checkout whose reports are trusted, run ``python
 tests/test_golden.py`` with that checkout's ``src`` on ``PYTHONPATH``.
 
@@ -28,6 +31,7 @@ commuted replay gives ``G_{1,y}`` and ``F_{1,z}`` each other's orders.
 import io
 import json
 import pathlib
+import runpy
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -38,6 +42,8 @@ from qhcalc import cli
 from qhcalc import corner_spaces as cs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DEMOS = pathlib.Path(__file__).parent.parent / "demos"
+DEMO_NAMES = sorted(p.stem[len("demo_"):] for p in DEMOS.glob("demo_*.py"))
 
 TOWERS = {
     "k0": {"k": 0, "a": [1], "b": 2, "f": []},
@@ -45,6 +51,10 @@ TOWERS = {
     "k2": {"k": 2, "a": [1, 1, 1], "b": 1, "f": [1, 1]},
     # known defect: constructions_isomorphic is false (module docstring)
     "k2_orders": {"k": 2, "a": [1, 3, 1], "b": 2, "f": [1, 1]},
+    # degenerate dimensions: no base, no first fibre, no deep fibre
+    "k2_b0": {"k": 2, "a": [1, 1, 1], "b": 0, "f": [0, 1]},
+    "k2_f00": {"k": 2, "a": [1, 1, 1], "b": 1, "f": [0, 0]},
+    "k2_f10": {"k": 2, "a": [1, 2, 1], "b": 1, "f": [1, 0]},
 }
 
 COMMANDS = {
@@ -95,17 +105,27 @@ INPUTS = {
 def _operator(cfg) -> dict:
     """A model operator sized to the tower: Laplacian-like top terms, a
     trig potential in the first base and deep-fibre directions, and a
-    coefficient with an x power that vanishes at the boundary."""
+    coefficient with an x power that vanishes at the boundary.  A zero
+    dimension drops its directions: an empty I or K, and one mode entry
+    carrying both phases when there is a single angle."""
     b, f = cfg["b"], cfg["f"]
     f1, f2 = (f + [0, 0])[:2]
     nm = b + sum(f)
+    # depth 0 and 1 reject the file before its shape is read; their K
+    # keeps the one entry it was frozen with
+    nk = f2 if cfg["k"] == 2 else 1
+
+    def first(n, d):
+        return ([n] + [0] * d)[:d]
 
     def mi(alpha=0, I=0, K=0):
-        return {"alpha": alpha, "I": [I] + [0] * (b - 1), "J": [0] * f1,
-                "K": [K] + [0] * (f2 - 1)}
+        return {"alpha": alpha, "I": first(I, b), "J": [0] * f1,
+                "K": first(K, nk)}
 
     def modes(y, w):
-        return [y] + [0] * (nm - 2) + [w]
+        out = first(y, nm)
+        out[-1] += w
+        return out
     return {"terms": [
         dict(mi(alpha=2), coeff={"x_poly": [[0, "1", "0"], [1, "2", "1"]]}),
         dict(mi(K=2)),
@@ -116,9 +136,10 @@ def _operator(cfg) -> dict:
 
 
 def _tower_args(cfg) -> dict:
-    """Base point and conormal parameter sized to the tower's model dims."""
+    """Base point and conormal parameter sized to the tower's model dims;
+    an empty base point means the option is left out."""
     n = cfg["b"] + sum(cfg["f"][:1])
-    return {"POINT": ",".join(["1/3"] + ["0"] * (n - 1)),
+    return {"POINT": ",".join((["1/3"] + ["0"] * n)[:n]),
             "MU": ",".join(["1/2"] + ["-1"] * n)}
 
 
@@ -180,13 +201,26 @@ def _run(tower: str, command: str, tmp: pathlib.Path):
     for name, data in inputs.items():
         (tmp / name).write_text(json.dumps(data))
     subst = _tower_args(TOWERS[tower])
-    argv = [str(tmp / a) if a in inputs else subst.get(a, a)
-            for a in COMMANDS[command]]
+    argv = []
+    for a in COMMANDS[command]:
+        a = str(tmp / a) if a in inputs else subst.get(a, a)
+        if a:
+            argv.append(a)
+        else:
+            argv.pop()
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv + ["-c", str(cfg)])
     text = f"exit {code}\n" + out.getvalue()
     return text + (f"stderr: {err.getvalue()}" if err.getvalue() else "")
+
+
+def _demo(name: str) -> str:
+    """A demo's stdout, run in this process as a script."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"demo_{name}.py"), run_name="__main__")
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("tower,command", CASES,
@@ -202,6 +236,11 @@ def test_golden_engine_state(tower):
     assert _engine_state(tower) == want
 
 
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_golden_demo(name):
+    assert _demo(name) == (GOLDEN / f"demo__{name}.txt").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -214,3 +253,6 @@ if __name__ == "__main__":
     for tower in TOWERS:
         (GOLDEN / f"{tower}__engine.jsonl").write_text(_engine_state(tower))
         print(f"wrote {tower}__engine.jsonl", file=sys.stderr)
+    for name in DEMO_NAMES:
+        (GOLDEN / f"demo__{name}.txt").write_text(_demo(name))
+        print(f"wrote demo__{name}.txt", file=sys.stderr)
