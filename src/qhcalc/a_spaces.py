@@ -12,6 +12,7 @@ times double-space prefix.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -150,18 +151,39 @@ def a_function_member(t: Tower, s: FormalASeries) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# double space
+# level letters and face names
+
+TRIPLE_STAGES = ("x", "y", "z")     # letters of levels 0, 1, 2
+FAMILIES = ("E", "G", "F")          # triple-space family created at level c
+_FAMILY_NAME = re.compile(r"([EGF])_\{([123]),([xyz])\}$")
+
+
+def family_name(c: int, i: int, l: int) -> str:
+    """Face of the family created at level c, factor index i, lifted to
+    level l: family_name(0, 1, 2) is E_{1,z}."""
+    return f"{FAMILIES[c]}_{{{i},{TRIPLE_STAGES[l]}}}"
+
+
+def parse_family_name(name: str):
+    """(c, i, l) of a family face name, or None for any other name."""
+    m = _FAMILY_NAME.match(name)
+    if m is None:
+        return None
+    return FAMILIES.index(m[1]), int(m[2]), TRIPLE_STAGES.index(m[3])
+
 
 def double_face_names(k: int) -> tuple:
-    if k == 0:
-        ffs = ("ff_x",)
-    elif k == 1:
-        ffs = ("ff_yx", "ff_y")
-    elif k == 2:
-        ffs = ("ff_zx", "ff_zy", "ff_z")
-    else:
-        ffs = tuple(f"ff_{j}" for j in range(k + 1))
-    return ("rf", "lf") + ffs
+    """rf, lf and the front faces ff_0..ff_k; up to depth 2 these carry
+    level letters, deepest level first (ff_zx, ff_zy, ff_z)."""
+    if k >= len(TRIPLE_STAGES):
+        return ("rf", "lf") + tuple(f"ff_{j}" for j in range(k + 1))
+    top = TRIPLE_STAGES[k]
+    return (("rf", "lf") + tuple(f"ff_{top}{s}" for s in TRIPLE_STAGES[:k])
+            + (f"ff_{top}",))
+
+
+# ---------------------------------------------------------------------------
+# double space
 
 
 @dataclass(frozen=True)
@@ -227,39 +249,31 @@ def exponent_vector(proj: BMap, faces: Sequence[str]) -> tuple:
 # triple space: symmetric and commuted constructions
 
 PAIR_OF = {1: frozenset({2, 3}), 2: frozenset({1, 3}), 3: frozenset({1, 2})}
-TRIPLE_STAGES = ("x", "y", "z")
 
 
 def _sym_entries(t: Tower, stage: str):
-    """Symmetric blowup sequence up to the requested stage."""
-    a = t.orders
-    E = [CenterExpr("V_x", ("H_1", "H_2", "H_3"), Merge.trivial(), 1)]
-    for i in (1, 2, 3):
-        E.append(CenterExpr(f"E_{{{i},x}}",
-                            tuple(sorted(f"H_{j}" for j in PAIR_OF[i])),
-                            Merge.trivial(), 1))
-    if stage == "x":
-        return E
-    E.append(CenterExpr("V_y", ("V_x",), Merge.diag({1, 2, 3}, 0), a[1]))
-    for i in (1, 2, 3):
-        E.append(CenterExpr(f"G_{{{i},y}}", ("V_x",),
-                            Merge.diag(PAIR_OF[i], 0), a[1]))
-    for i in (1, 2, 3):
-        E.append(CenterExpr(f"E_{{{i},y}}", (f"E_{{{i},x}}",),
-                            Merge.diag(PAIR_OF[i], 0), a[1]))
-    if stage == "y":
-        return E
-    E.append(CenterExpr("V_z", ("V_y",), Merge.diag({1, 2, 3}, 1), a[2]))
-    for i in (1, 2, 3):
-        E.append(CenterExpr(f"F_{{{i},z}}", ("V_y",),
-                            Merge.diag(PAIR_OF[i], 1), a[2]))
-    for i in (1, 2, 3):
-        E.append(CenterExpr(f"G_{{{i},z}}", (f"G_{{{i},y}}",),
-                            Merge.diag(PAIR_OF[i], 1), a[2]))
-    for i in (1, 2, 3):
-        E.append(CenterExpr(f"E_{{{i},z}}", (f"E_{{{i},y}}",),
-                            Merge.diag(PAIR_OF[i], 1), a[2]))
-    return E
+    """Symmetric blowup sequence up to the requested stage.
+
+    Level l blows up, each to order a_l: the triple diagonal V_l, the
+    pair-diagonal family new at l (inside V_{l-1}, or in the corners of
+    pairs of boundary hypersurfaces at l = 0), and the lift of every
+    earlier family, newest first.
+    """
+    entries = []
+    for l in range(TRIPLE_STAGES.index(stage) + 1):
+        prev = (f"V_{TRIPLE_STAGES[l - 1]}",) if l else ()
+        level = [(f"V_{TRIPLE_STAGES[l]}", prev or ("H_1", "H_2", "H_3"),
+                  {1, 2, 3})]
+        for i in (1, 2, 3):
+            inside = prev or tuple(f"H_{j}" for j in sorted(PAIR_OF[i]))
+            level.append((family_name(l, i, l), inside, PAIR_OF[i]))
+        level += [(family_name(c, i, l), (family_name(c, i, l - 1),),
+                   PAIR_OF[i])
+                  for c in range(l - 1, -1, -1) for i in (1, 2, 3)]
+        entries += [CenterExpr(name, faces, Merge.diag(fs, l - 1) if l
+                               else Merge.trivial(), t.orders[l])
+                    for name, faces, fs in level]
+    return entries
 
 
 def symmetric_triple_seq(t: Tower, stage: str = "z") -> BlowupSeq:
@@ -323,12 +337,11 @@ _SIGMA = {1: {1: 1, 2: 2, 3: 3},
 def _relabel_name(name: str, sigma: dict) -> str:
     if name.startswith("H_"):
         return f"H_{sigma[int(name[2:])]}"
-    for fam in ("E", "G", "F"):
-        for i in (1, 2, 3):
-            for st in TRIPLE_STAGES:
-                if name == f"{fam}_{{{i},{st}}}":
-                    return f"{fam}_{{{sigma[i]},{st}}}"
-    return name
+    parsed = parse_family_name(name)
+    if parsed is None:
+        return name
+    c, i, l = parsed
+    return family_name(c, sigma[i], l)
 
 
 def relabel_seq(seq: BlowupSeq, i: int) -> BlowupSeq:
@@ -344,15 +357,6 @@ def relabel_seq(seq: BlowupSeq, i: int) -> BlowupSeq:
                                            for f in e.faces)),
                               merge, e.order, e.pure))
     return BlowupSeq(seq.base, tuple(out))
-
-
-def _stage_of(stage: str):
-    return {"x": 0, "y": 1, "z": 2}[stage]
-
-
-def _image_factors(i: int):
-    left, right = sorted({1, 2, 3} - {i})
-    return left, right
 
 
 @dataclass(frozen=True)
@@ -378,7 +382,7 @@ def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
         raise ValueError("full triple space needs tower depth 2")
     sym = symmetric_triple_seq(t, stage)
     space, _ = replay(sym)
-    dt = reduce(t, _stage_of(stage))
+    dt = reduce(t, TRIPLE_STAGES.index(stage))
     dbl = double_space(dt)
     projections = tuple(_triple_projection(t, stage, i, space, dbl)
                         for i in (1, 2, 3))
@@ -389,18 +393,16 @@ def _triple_projection(t: Tower, stage: str, i: int, sym_space: Space,
                        dbl: ASpaceDouble) -> BMap:
     com1 = commuted_triple_seq(t, stage)
     com = relabel_seq(com1, i) if i != 1 else com1
-    prefix_len = _stage_of(stage) + 1
+    level = TRIPLE_STAGES.index(stage)
     top, maps = replay(com)
     chain = maps[-1]
-    for beta in reversed(maps[prefix_len:-1]):
+    for beta in reversed(maps[level + 1:-1]):
         chain = compose(chain, beta)
-    prefix, _ = replay(com, prefix_len)
-    left, right = _image_factors(i)
-    ffs = double_face_names(_stage_of(stage))[2:]
+    prefix, _ = replay(com, level + 1)
+    left, right = sorted({1, 2, 3} - {i})
     entries = [(f"H_{left}", "lf", 1), (f"H_{right}", "rf", 1)]
-    chain_names = [f"E_{{{i},x}}", f"E_{{{i},y}}", f"E_{{{i},z}}"]
-    for name, ff in zip(chain_names[:prefix_len], ffs):
-        entries.append((name, ff, 1))
+    for l, ff in enumerate(double_face_names(level)[2:]):
+        entries.append((family_name(0, i, l), ff, 1))
     proj = bmap_from_entries(prefix, dbl.space, entries)
     full = compose(chain, proj)
     # the commuted replay names faces canonically, so the exponent data
@@ -482,12 +484,9 @@ def verify_facemaps(t: Tower) -> dict:
     """Compare computed face tables of every stage and index against the
     stored reference tables.  Returns a report with any mismatches."""
     report = {"tables": 0, "mismatches": []}
-    stages = ["x"]
-    if t.k >= 1:
-        stages.append("y")
-    if t.k == 2:
-        stages.append("z")
-    for stage in stages:
+    # the full triple space (stage z) exists at depth 2 only
+    deepest = 2 if t.k == 2 else min(t.k, 1)
+    for stage in TRIPLE_STAGES[:deepest + 1]:
         trip = triple_space(t, stage)
         for i in (1, 2, 3):
             got = face_table(trip.projections[i - 1])

@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 INF = float("inf")
@@ -752,6 +753,25 @@ def center_rank(space: Space, center: Locus, dims=None) -> int:
             classes = len(b) - sum(len(c) - 1 for c in absorbed)
             total += d * (classes - 1)
     return total
+
+
+def blowup_weights(space: Space, orders=None, dims=None) -> dict:
+    """Cumulative blowup weight of each face.
+
+    A step of order a whose center has interior rank m gives its front
+    face a*m plus the weights of the faces containing the center.  Given
+    a tower's orders and level dimensions, the history is re-weighted
+    for that tower: a center merging factors through level l - 1 (l = 0
+    for a corner) takes order a_l, and its rank is recounted in dims.
+    """
+    w = dict.fromkeys(space.face_names, Fraction(0))
+    for st in space.history:
+        a, m = st.order, st.rank
+        if orders is not None:
+            a = orders[max(st.center.merge.levels(), default=-1) + 1]
+            m = center_rank(space, st.center, dims)
+        w[st.label] = sum((w[h] for h in st.center.faces), Fraction(a * m))
+    return w
 
 
 def _residual_cut(space: Space, center: Locus, face_merged: Merge,

@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import a_spaces as asp
-from .a_spaces import Tower
-from .corner_spaces import Space, center_rank
-from .index_algebra import WeightVector, pullback_weights, weights
+from .a_spaces import TRIPLE_STAGES, Tower, family_name
+from .corner_spaces import Space, blowup_weights
+from .index_algebra import WeightVector, pullback_weights
 
 
 def gamma(t: Tower) -> tuple:
@@ -33,11 +33,7 @@ def gamma(t: Tower) -> tuple:
 
 def blowup_weight_vector(space: Space) -> WeightVector:
     """First-principles lifted-b-density weights from the blowup history."""
-    w = {f: Fraction(0) for f in space.face_names}
-    for st in space.history:
-        w[st.label] = sum((w[h] for h in st.center.faces), Fraction(0)) \
-            + Fraction(st.order * st.rank)
-    return WeightVector(w)
+    return WeightVector(blowup_weights(space))
 
 
 @dataclass(frozen=True)
@@ -50,16 +46,19 @@ class DoubleWeights:
 @lru_cache(maxsize=1024)
 def double_weights(t: Tower) -> DoubleWeights:
     """Closed-form double-space weights, with the lifted-b-density vector
-    verified against the cumulative blowup computation."""
+    verified against the cumulative blowup computation.
+
+    With gamma_0 = 0: w_a0 is gamma_j on ff_j, w_a = -w_a0, and w_tilde
+    is -gamma_k on rf and lf and gamma_j - 2 gamma_k on ff_j.
+    """
     if t.k != 2:
         raise ValueError("double weights are tabulated for depth 2")
-    gy, gz = gamma(t)
-    w_a0 = weights(ff_zy=Fraction(gy), ff_z=Fraction(gz))
-    w_a = weights(ff_zy=Fraction(-gy), ff_z=Fraction(-gz))
-    w_tilde = weights(rf=Fraction(-gz), lf=Fraction(-gz),
-                      ff_zx=Fraction(-2 * gz),
-                      ff_zy=Fraction(-2 * gz + gy),
-                      ff_z=Fraction(-gz))
+    g = (0,) + gamma(t)
+    ffs = asp.double_face_names(t.k)[2:]
+    w_a0 = WeightVector(dict(zip(ffs, g)))
+    w_a = -w_a0
+    w_tilde = WeightVector({"rf": -g[-1], "lf": -g[-1],
+                            **{ff: gj - 2 * g[-1] for ff, gj in zip(ffs, g)}})
     first = blowup_weight_vector(asp.double_space(t).space)
     if first != w_a0:
         raise AssertionError(
@@ -76,25 +75,28 @@ class TripleWeights:
 
 
 def expected_triple_w_a0(t: Tower) -> WeightVector:
-    gy, gz = gamma(t)
-    out = {"V_y": 2 * gy, "V_z": 2 * gz}
-    for i in (1, 2, 3):
-        out[f"G_{{{i},y}}"] = gy
-        out[f"E_{{{i},y}}"] = gy
-        out[f"F_{{{i},z}}"] = gy + gz
-        out[f"G_{{{i},z}}"] = gz
-        out[f"E_{{{i},z}}"] = gz
-    return WeightVector({k: Fraction(v) for k, v in out.items()})
+    """With gamma_0 = 0: V_l gets 2 gamma_l, the family new at level l
+    gets gamma_{l-1} + gamma_l, and a lifted family gets gamma_l."""
+    g = (0,) + gamma(t)
+    out = {}
+    for l in range(1, t.k + 1):
+        out[f"V_{TRIPLE_STAGES[l]}"] = 2 * g[l]
+        for c in range(l + 1):
+            for i in (1, 2, 3):
+                out[family_name(c, i, l)] = g[l] + (g[l - 1] if c == l else 0)
+    return WeightVector(out)
 
 
 def cross_checked_w_a(t: Tower) -> WeightVector:
     """The composition weight vector pinned by the closed-form check:
-    (-gamma_y, 0, 0; -gamma_z, -gamma_y, 0, 0) over the V_y, G_y, E_y;
-    V_z, F_z, G_z, E_z front-face groups."""
-    gy, gz = gamma(t)
-    out = {"V_y": Fraction(-gy), "V_z": Fraction(-gz)}
-    for i in (1, 2, 3):
-        out[f"F_{{{i},z}}"] = Fraction(-gy)
+    with gamma_0 = 0, V_l gets -gamma_l and the family new at level l
+    gets -gamma_{l-1}; every other face gets 0."""
+    g = (0,) + gamma(t)
+    out = {}
+    for l in range(1, t.k + 1):
+        out[f"V_{TRIPLE_STAGES[l]}"] = -g[l]
+        for i in (1, 2, 3):
+            out[family_name(l, i, l)] = -g[l - 1]
     return WeightVector(out)
 
 
@@ -116,37 +118,23 @@ def triple_w_a0(t: Tower) -> WeightVector:
     their merge data); the tower supplies orders and dimensions for each
     step's contribution.
     """
-    space = asp.canonical_triple().space
-    dims = dict(t.level_dims())
-    dims[-1] = 1
-    w = {f: Fraction(0) for f in space.face_names}
-    for st in space.history:
-        if st.label.endswith(",y}") or st.label == "V_y":
-            order = t.orders[1]
-        elif st.label.endswith(",z}") or st.label == "V_z":
-            order = t.orders[2]
-        else:
-            order = 1
-        rank = center_rank(space, st.center, dims)
-        w[st.label] = sum((w[h] for h in st.center.faces), Fraction(0)) \
-            + Fraction(order * rank)
-    return WeightVector(w)
+    return WeightVector(blowup_weights(asp.canonical_triple().space,
+                                       t.orders, {-1: 1, **t.level_dims()}))
 
 
 @lru_cache(maxsize=1024)
 def triple_weights(t: Tower) -> TripleWeights:
     """Triple-space weights from first principles.
 
-    W_a0 comes from cumulative blowup ranks and must match the expected
-    group pattern (2 gamma_y, gamma_y, gamma_y; 2 gamma_z, gamma_y +
-    gamma_z, gamma_z, gamma_z).  W_a is W_a0 plus the sum of the
+    W_a0 comes from cumulative blowup ranks and must match the closed
+    form of ``expected_triple_w_a0``.  W_a is W_a0 plus the sum of the
     pullbacks of half the double-space weight difference along the three
     projections; the result must equal the cross-checked closed form.
     """
+    dw = double_weights(t)
     W_a0 = triple_w_a0(t)
     if W_a0 != expected_triple_w_a0(t):
         raise AssertionError("triple-space weight cross-check failed")
-    dw = double_weights(t)
     w0 = WeightVector({f: (dw.w_a[f] - dw.w_a0[f]) / 2
                        for f in asp.double_face_names(2)})
     W_a = W_a0
