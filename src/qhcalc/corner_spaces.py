@@ -1116,14 +1116,20 @@ def bubble_to(seq: BlowupSeq, label: str, target: int, rule: int = 1) -> BlowupS
 # ---------------------------------------------------------------------------
 # isomorphism of spaces
 
-def _face_signature(f: Face):
-    return (f.step >= 0, f.order, f.v, f.merged.canonical_key())
+def _face_signature(f: Face, weight: Fraction):
+    return (f.is_front, weight, f.v, f.merged.canonical_key())
 
 
 def isomorphic(X: Space, Y: Space, incidence: str = "exact"):
-    """Face bijection preserving creation orders, valuations (hence total
-    blowdown exponent data), merge structure, incidence, and registered
-    submanifolds.  Returns the bijection or None.
+    """Face bijection preserving front-face-ness, valuations (hence total
+    blowdown exponent data), cumulative blowup weights, merge structure,
+    incidence, and registered submanifolds.  Returns the bijection or
+    None.
+
+    Creation orders are construction history, not invariants of the
+    space: a commutation rewrite may move a blowup order from one step
+    to another (rule 3 of ``rewrite_step`` does), while the valuations
+    and the cumulative weight of each face stay the same.
 
     With incidence="exact" the pairwise meeting relations must agree.
     With incidence="within", X's meetings must map into Y's: this is the
@@ -1135,10 +1141,10 @@ def isomorphic(X: Space, Y: Space, incidence: str = "exact"):
     if len(X.faces) != len(Y.faces) or X.dims != Y.dims:
         return None
     sigX, sigY = {}, {}
-    for f in X.faces:
-        sigX.setdefault(_face_signature(f), []).append(f.name)
-    for f in Y.faces:
-        sigY.setdefault(_face_signature(f), []).append(f.name)
+    for S, sig in ((X, sigX), (Y, sigY)):
+        w = blowup_weights(S)
+        for f in S.faces:
+            sig.setdefault(_face_signature(f, w[f.name]), []).append(f.name)
     if set(sigX) != set(sigY):
         return None
     if any(len(sigX[s]) != len(sigY[s]) for s in sigX):

@@ -1,5 +1,9 @@
 """Towers, double and triple spaces, face tables, reductions."""
 
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 from qhcalc import a_spaces as asp
@@ -95,6 +99,49 @@ def test_commuted_construction_isomorphic():
     bij = asp.triple_constructions_isomorphic(T)
     assert bij is not None
     assert all(k == v for k, v in bij.items())
+
+
+def test_isomorphism_holds_for_every_tangency_order():
+    # a seeded sample of the 243 depth-2 towers with orders (1, a1, a2)
+    # and b, f1, f2 in 0..2, plus stage y at depth 1
+    grid = list(itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2),
+                                  (0, 1, 2)))
+    for a1, a2, b, f1, f2 in random.Random(6).sample(grid, 4) + [
+            (3, 1, 1, 1, 1)]:
+        t = Tower(2, (1, a1, a2), b, (f1, f2))
+        assert asp.triple_constructions_isomorphic(t) is not None, t
+    assert asp.triple_constructions_isomorphic(
+        Tower(1, (1, 3), 1, (1,)), "y") is not None
+
+
+def test_isomorphism_rejects_every_order_mutation():
+    # negative control: changing one blowup order of the commuted (1,3,1)
+    # sequence changes some face's valuations or cumulative weight
+    t = Tower(2, (1, 3, 1), 1, (1, 1))
+    sym, _ = cs.replay(asp.symmetric_triple_seq(t))
+    com = asp.commuted_triple_seq(t)
+    mutations = 0
+    for k, e in enumerate(com.entries):
+        for a in {1, 2, 3, 5} - {e.order}:
+            entries = list(com.entries)
+            entries[k] = dataclasses.replace(e, order=a)
+            mutations += 1
+            try:
+                Y, _ = cs.replay(cs.BlowupSeq(com.base, tuple(entries)))
+            except (ValueError, cs.EngineUnsupported):
+                continue
+            assert cs.isomorphic(sym, Y, incidence="within") is None, \
+                (e.label, a)
+    assert mutations == 63
+
+
+def test_family_names_parse_back():
+    for c, i, l in itertools.product(range(3), (1, 2, 3), range(3)):
+        assert asp.parse_family_name(asp.family_name(c, i, l)) == (c, i, l)
+    assert asp.family_name(0, 1, 2) == "E_{1,z}"
+    assert asp.family_name(2, 3, 2) == "F_{3,z}"
+    for name in ("H_1", "V_y", "ff_zx", "E_{4,x}", "E_{1,w}", "E_{1,x}!"):
+        assert asp.parse_family_name(name) is None
 
 
 def test_projection_tables_partition():
@@ -203,6 +250,17 @@ def test_double_space_depth_three():
     assert d.space.psub_meets("diag") == frozenset({d.faces[-1]})
     pair = frozenset({1, 2})
     assert d.space.val(d.faces[-1], ("d", -1, pair)) == 1 + 1 + 2 + 1
+
+
+def test_depth_three_stays_at_depth_two_stages():
+    # level loops name ff_0..ff_3; the triple space stops at stage y
+    t = Tower(3, (1, 1, 2, 1), 1, (1, 0, 1))
+    assert double_face_names(3) == ("rf", "lf", "ff_0", "ff_1", "ff_2",
+                                    "ff_3")
+    rep = verify_facemaps(t)
+    assert rep["tables"] == 6 and rep["mismatches"] == []
+    with pytest.raises(ValueError, match="needs tower depth 2"):
+        triple_space(t)
 
 
 def test_degenerate_dimensions_full_pipeline():

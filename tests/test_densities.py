@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 from qhcalc import a_spaces as asp
+from qhcalc import corner_spaces as cs
 from qhcalc import densities as dn
 from qhcalc.a_spaces import Tower
 
@@ -64,3 +65,31 @@ def test_triple_weights_match_full_construction():
         trip = asp.triple_space(t)
         full = dn.blowup_weight_vector(trip.space)
         assert full == dn.triple_w_a0(t)
+
+
+def test_reweighted_history_matches_each_tower():
+    # one cumulative loop: the unit-order double space, re-weighted with
+    # a tower's orders and dimensions, gives that tower's own weights
+    for k in range(4):
+        for a in itertools.product((1, 2, 3), repeat=k):
+            t = Tower(k, (1,) + a, 1, (2,) + (0, 1)[:k - 1] if k else ())
+            unit = asp.double_space(Tower(k, (1,) * (k + 1), t.b, t.f))
+            got = cs.blowup_weights(unit.space, t.orders,
+                                    {-1: 1, **t.level_dims()})
+            assert got == cs.blowup_weights(asp.double_space(t).space), t
+
+
+def test_closed_forms_on_the_depth_two_sweep():
+    # gamma_0 = 0: V_l 2 gamma_l, new family gamma_{l-1} + gamma_l,
+    # lifted family gamma_l; W_a puts -gamma_l on V_l, -gamma_{l-1} on
+    # the new family
+    for a1, a2, b, f1, f2 in itertools.product((1, 3), (1, 2), (0, 2),
+                                               (0, 1), (0, 2)):
+        t = Tower(2, (1, a1, a2), b, (f1, f2))
+        gy, gz = dn.gamma(t)
+        tw = dn.triple_weights(t)
+        assert tw.W_a0["V_z"] == 2 * gz and tw.W_a0["F_{2,z}"] == gy + gz
+        assert tw.W_a0["G_{1,y}"] == gy and tw.W_a0["E_{3,z}"] == gz
+        assert tw.W_a0["E_{1,x}"] == 0 and tw.W_a["F_{1,z}"] == -gy
+        dw = dn.double_weights(t)
+        assert dw.w_tilde["ff_zy"] == gy - 2 * gz and dw.w_a["ff_z"] == -gz

@@ -21,11 +21,13 @@ space's levels x, y and z were rebuilt as one level loop.  To write
 them from a checkout whose reports are trusted, run ``python
 tests/test_golden.py`` with that checkout's ``src`` on ``PYTHONPATH``.
 
-The depth-2 tower with non-unit orders freezes a known defect:
-``space triple`` reports ``constructions_isomorphic: false`` for it,
-because rule 3 of ``rewrite_step`` turns the creation orders
-(a_y, a_w, a_w) of the exchanged triple into (a_w, a_y, a_y), so the
-commuted replay gives ``G_{1,y}`` and ``F_{1,z}`` each other's orders.
+On the towers with non-unit orders the commuted replay gives
+``G_{1,y}`` and ``F_{1,z}`` each other's creation orders, because rule 3
+of ``rewrite_step`` turns the orders (a_y, a_w, a_w) of the exchanged
+triple into (a_w, a_y, a_y).  Their ``space triple`` files were first
+frozen with ``constructions_isomorphic: false``; they read ``true``
+since the isomorphism compares cumulative blowup weights, which are
+invariants of the space, instead of creation orders.
 """
 
 import io
@@ -49,7 +51,7 @@ TOWERS = {
     "k0": {"k": 0, "a": [1], "b": 2, "f": []},
     "k1": {"k": 1, "a": [1, 2], "b": 1, "f": [2]},
     "k2": {"k": 2, "a": [1, 1, 1], "b": 1, "f": [1, 1]},
-    # known defect: constructions_isomorphic is false (module docstring)
+    # non-unit orders: rule 3 swaps creation orders (module docstring)
     "k2_orders": {"k": 2, "a": [1, 3, 1], "b": 2, "f": [1, 1]},
     # degenerate dimensions: no base, no first fibre, no deep fibre
     "k2_b0": {"k": 2, "a": [1, 1, 1], "b": 0, "f": [0, 1]},
