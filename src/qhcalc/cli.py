@@ -282,26 +282,31 @@ def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
                          "with a list 'terms'")
     nm = b + f1 + f2
     terms = {}
-    for item in data["terms"]:
+    for k, item in enumerate(data["terms"]):
         spec = item.get("coeff", {}) if isinstance(item, dict) else None
         if not isinstance(spec, dict):
             raise UsageError(f"{path}: each term and its 'coeff' is a JSON "
                              "object")
-        mu = (int(item.get("alpha", 0)),
-              tuple(item.get("I", [0] * b)),
-              tuple(item.get("J", [0] * f1)),
-              tuple(item.get("K", [0] * f2)))
-        xp = spec.get("x_poly", [[0, "1", "0"]])
-        trig = spec.get("trig", [{"modes": [0] * nm, "re": "1", "im": "0"}])
-        c = ms.Coeff()
-        for n, restr, imstr in xp:
-            base = ms.Coeff({(int(n), (0,) * nm, 0):
-                             ia.cx(Fraction(restr), Fraction(imstr))})
-            for tg in trig:
-                tc = ms.Coeff({(0, tuple(tg["modes"]), 0):
-                               ia.cx(Fraction(tg.get("re", 1)),
-                                     Fraction(tg.get("im", 0)))})
-                c = c + base * tc
+        try:
+            mu = (int(item.get("alpha", 0)),
+                  tuple(item.get("I", [0] * b)),
+                  tuple(item.get("J", [0] * f1)),
+                  tuple(item.get("K", [0] * f2)))
+            xp = spec.get("x_poly", [[0, "1", "0"]])
+            trig = spec.get("trig", [{"modes": [0] * nm, "re": "1",
+                                      "im": "0"}])
+            c = ms.Coeff()
+            for n, restr, imstr in xp:
+                base = ms.Coeff({(int(n), (0,) * nm, 0):
+                                 ia.cx(Fraction(restr), Fraction(imstr))})
+                for tg in trig:
+                    tc = ms.Coeff({(0, tuple(tg["modes"]), 0):
+                                   ia.cx(Fraction(tg.get("re", 1)),
+                                         Fraction(tg.get("im", 0)))})
+                    c = c + base * tc
+        except (TypeError, ValueError, KeyError, AttributeError,
+                ZeroDivisionError) as e:
+            raise UsageError(f"{path}: term {k} is malformed: {e}") from None
         terms[mu] = terms.get(mu, ms.Coeff()) + c
     return ms.make_op(t, terms)
 

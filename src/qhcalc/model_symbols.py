@@ -865,8 +865,11 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
     dim = 1 + b + f1
     n = int(Fraction(radius) / Fraction(step))
     axis = np.array([float(Fraction(step) * i) for i in range(-n, n + 1)])
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    mu2 = sum(g * g for g in grids).ravel()
+    # the distinct grid values of |mu|^2, summed axis by axis in the
+    # order a grid sum would use: at most dim * n^2 + 1 values
+    mu2 = np.zeros(1)
+    for _ in range(dim):
+        mu2 = np.unique(mu2[:, None] + np.unique(axis * axis)[None, :])
     ks = [np.sum(np.array(k, dtype=float) ** 2)
           for k in itertools.product(range(-N, N + 1), repeat=f2)]
     k2 = np.unique(np.array(ks))

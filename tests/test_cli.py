@@ -269,6 +269,20 @@ def test_operator_term_or_coeff_not_an_object_is_usage_error(tower_file,
         assert "'coeff'" in err
 
 
+@pytest.mark.parametrize("term", [
+    {"I": 3}, {"coeff": {"x_poly": 5}}, {"coeff": {"trig": [{"modes": 7}]}},
+    {"coeff": {"trig": [{"modes": [0, 0, 0], "re": "q"}]}}, {"alpha": "z"}],
+    ids=["I-not-a-list", "x_poly-not-a-list", "modes-not-a-list",
+         "re-not-rational", "alpha-not-an-integer"])
+def test_malformed_operator_term_is_usage_error(term, tower_file, tmp_path,
+                                                capsys):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"terms": [term]}))
+    err = _one_line_usage_error(["normal-family", "-c", tower_file, "-O",
+                                 str(op)], capsys)
+    assert "term 0 is malformed" in err
+
+
 def test_bad_point_mu_or_truncation_is_usage_error(tower_file, capsys):
     for opt, value in (("--point", "1/3,x"), ("--mu", "1,0,1/0")):
         err = _one_line_usage_error(["normal-family", "-c", tower_file,

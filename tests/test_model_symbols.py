@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -400,3 +401,17 @@ def test_grid_sweep_matches_per_point_path():
         ref = ms.laplacian_spectrum_min_distance(
             t, Fraction(-3, 2), 0, 1, 2, radius, step)["min_distance"]
         assert math.isclose(cert["min_singular_value"], ref, rel_tol=1e-12)
+
+
+def test_spectrum_distance_memory_stays_small():
+    # the distinct |mu|^2 values replace the dense grid: at radius 5 the
+    # grid has 21^4 points, which in one piece took about 60 MB
+    t = Tower(2, (1, 3, 1), 2, (1, 1))
+    tracemalloc.start()
+    try:
+        r = ms.laplacian_spectrum_min_distance(t, -1, 0, 1, 8, Fraction(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+    assert r["min_distance"] == abs(complex(-1, 1)) and r["witness"] is None
