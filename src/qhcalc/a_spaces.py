@@ -54,10 +54,7 @@ class Tower:
 
     def level_dims(self) -> dict:
         """Fibre level -> dimension (level 0 is the base of the tower)."""
-        out = {0: self.b}
-        for j, fj in enumerate(self.f, start=1):
-            out[j] = fj
-        return out
+        return dict(enumerate((self.b,) + self.f))
 
     def to_json(self) -> dict:
         return {"k": self.k, "a": list(self.orders), "b": self.b,
@@ -465,10 +462,8 @@ def relabel_table(table: dict, i: int) -> dict:
     increasing order; the transposition with 3 reverses that order, so
     the left and right classes swap there.
     """
-    sigma = _SIGMA[i]
-    out = {}
-    for h, faces in table.items():
-        out[h] = tuple(sorted(_relabel_name(g, sigma) for g in faces))
+    out = {h: tuple(sorted(_relabel_name(g, _SIGMA[i]) for g in faces))
+           for h, faces in table.items()}
     if i == 3:
         out["lf"], out["rf"] = out["rf"], out["lf"]
     return out

@@ -64,11 +64,12 @@ def _truncation(args) -> int:
 
 
 def _emit(args, text: str):
+    text = text if text.endswith("\n") else text + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def cmd_tower_validate(args) -> int:
@@ -198,12 +199,12 @@ def _weight_sweep(t: Tower, rng: random.Random, count: int) -> dict:
             ia.term(Fraction(rng.randint(1, 5), rng.choice([1, 2])), 0,
                     rng.randint(0, 2)) for _ in range(n)])
 
+    def rand_class():
+        return oc.op_class(t, 0, **{f: rand_set() for f in oc.DOUBLE_FACES})
+
     checked = failures = 0
     for _ in range(count):
-        P = oc.op_class(t, 0, rf=rand_set(), lf=rand_set(),
-                        ff_zx=rand_set(), ff_zy=rand_set(), ff_z=rand_set())
-        Q = oc.op_class(t, 0, rf=rand_set(), lf=rand_set(),
-                        ff_zx=rand_set(), ff_zy=rand_set(), ff_z=rand_set())
+        P, Q = rand_class(), rand_class()
         try:
             R = oc.compose(P, Q)
         except oc.NonIntegrable:

@@ -1126,10 +1126,8 @@ def isomorphic(X: Space, Y: Space, incidence: str = "exact"):
     incidence, and registered submanifolds.  Returns the bijection or
     None.
 
-    Creation orders are construction history, not invariants of the
-    space: a commutation rewrite may move a blowup order from one step
-    to another (rule 3 of ``rewrite_step`` does), while the valuations
-    and the cumulative weight of each face stay the same.
+    Creation orders are construction history, not invariants: rule 3
+    of ``rewrite_step`` moves a blowup order from one step to another.
 
     With incidence="exact" the pairwise meeting relations must agree.
     With incidence="within", X's meetings must map into Y's: this is the

@@ -146,6 +146,17 @@ def _mi(alpha, I, J, K) -> MultiIndex:
     return (int(alpha), tuple(I), tuple(J), tuple(K))
 
 
+# multi-index slot (I, J or K) raised by each fibre generator
+_SLOT = {"y": 0, "z": 1, "w": 2}
+
+
+def _raised(mu: MultiIndex, kind: str, index: int, by: int = 1):
+    """mu with the index-th exponent of generator `kind` raised by `by`."""
+    idx = [list(v) for v in mu[1:]]
+    idx[_SLOT[kind]][index] += by
+    return _mi(mu[0], *idx)
+
+
 def _mi_degree(mu: MultiIndex) -> int:
     return mu[0] + sum(mu[1]) + sum(mu[2]) + sum(mu[3])
 
@@ -193,47 +204,31 @@ def make_op(t: Tower, termdict) -> ADiffOp:
     return ADiffOp(t, tuple(items))
 
 
+def _mi_zero(t: Tower) -> MultiIndex:
+    return _mi(0, *((0,) * n for n in model_dims(t)))
+
+
 def identity_op(t: Tower) -> ADiffOp:
-    nb, nf1, nf2 = model_dims(t)
-    mu = _mi(0, (0,) * nb, (0,) * nf1, (0,) * nf2)
-    return make_op(t, {mu: 1})
+    return make_op(t, {_mi_zero(t): 1})
 
 
 def generator(t: Tower, kind: str, index: int = 0) -> ADiffOp:
     """Single weighted generator: kind in {x, y, z, w}."""
-    nb, nf1, nf2 = model_dims(t)
-    alpha, I, J, K = 0, [0] * nb, [0] * nf1, [0] * nf2
+    mu = _mi_zero(t)
     if kind == "x":
-        alpha = 1
-    elif kind == "y":
-        I[index] = 1
-    elif kind == "z":
-        J[index] = 1
-    elif kind == "w":
-        K[index] = 1
-    else:
+        return make_op(t, {(1,) + mu[1:]: 1})
+    if kind not in _SLOT:
         raise ValueError("kind must be one of x, y, z, w")
-    return make_op(t, {_mi(alpha, I, J, K): 1})
+    return make_op(t, {_raised(mu, kind, index): 1})
 
 
 def model_laplacian(t: Tower) -> ADiffOp:
     """Sum of squares of all weighted generators (flat product model)."""
-    nb, nf1, nf2 = model_dims(t)
-    terms = {}
-    z0 = _mi(2, (0,) * nb, (0,) * nf1, (0,) * nf2)
-    terms[z0] = coeff_const(t, 1)
-    for i in range(nb):
-        I = [0] * nb
-        I[i] = 2
-        terms[_mi(0, I, (0,) * nf1, (0,) * nf2)] = coeff_const(t, 1)
-    for j in range(nf1):
-        J = [0] * nf1
-        J[j] = 2
-        terms[_mi(0, (0,) * nb, J, (0,) * nf2)] = coeff_const(t, 1)
-    for k in range(nf2):
-        K = [0] * nf2
-        K[k] = 2
-        terms[_mi(0, (0,) * nb, (0,) * nf1, K)] = coeff_const(t, 1)
+    mu = _mi_zero(t)
+    terms = {(2,) + mu[1:]: coeff_const(t, 1)}
+    for kind, n in zip(_SLOT, model_dims(t)):
+        for i in range(n):
+            terms[_raised(mu, kind, i, 2)] = coeff_const(t, 1)
     return make_op(t, terms)
 
 
@@ -271,7 +266,6 @@ def _gen_commutator_with_x(t: Tower, kind: str) -> int:
 
 def _lmul_gen(t: Tower, kind: str, index: int, terms: dict) -> dict:
     """Left-multiply a normal-form term dict by one weighted generator."""
-    nb = t.b
     a12 = t.orders[1] + t.orders[2]
     out = {}
 
@@ -289,16 +283,7 @@ def _lmul_gen(t: Tower, kind: str, index: int, terms: dict) -> dict:
             acc(_mi(alpha + 1, I, J, K), c)
             continue
         if kind == "w" or alpha == 0:
-            if kind == "y":
-                I = list(I)
-                I[index] += 1
-            elif kind == "z":
-                J = list(J)
-                J[index] += 1
-            else:
-                K = list(K)
-                K[index] += 1
-            acc(_mi(alpha, I, J, K), c)
+            acc(_raised(mu, kind, index), c)
             continue
         # commute past the boundary generators: G X^a = X (G X^{a-1})
         # + i g x^{a1+a2} (G X^{a-1})
@@ -497,32 +482,22 @@ def lift_stage_y(terms, a1):
 
 
 def lift_stage_z(terms, a2):
-    """Through the second diagonal blowup (order a2)."""
-    sub = {"T": ("cT", a2), "Y": ("cY", a2)}
-    expanded = []
-    for tm in terms:
-        xshift = 0
-        mono = []
-        for v, p in tm.mono:
-            if v in sub:
-                nv, d = sub[v]
-                xshift += d * p
-                mono.append((nv, p))
-            else:
-                mono.append((v, p))
-        expanded.append(_vt(tm.coeff, tm.xpow + xshift, tuple(mono),
-                            tm.direction))
+    """Through the second diagonal blowup (order a2): T = x^a2 cT and
+    Y = x^a2 cY."""
     out = []
-    for tm in expanded:
+    for tm in terms:
+        scaled = [p for v, p in tm.mono if v in ("T", "Y")]
+        tm = _vt(tm.coeff, tm.xpow + a2 * sum(scaled),
+                 tuple(("c" + v if v in ("T", "Y") else v, p)
+                       for v, p in tm.mono), tm.direction)
         if tm.direction == "x_dx":
             out.append(tm)
             for var, dr in (("cT", "dcT"), ("cY", "dcY"), ("cZ", "dcZ")):
                 out.append(_vt(-a2 * tm.coeff, tm.xpow,
                                _mono_mul(tm.mono, ((var, 1),)), dr))
-        elif tm.direction == "dT":
-            out.append(_vt(tm.coeff, tm.xpow - a2, tm.mono, "dcT"))
-        elif tm.direction == "dY":
-            out.append(_vt(tm.coeff, tm.xpow - a2, tm.mono, "dcY"))
+        elif tm.direction in ("dT", "dY"):
+            out.append(_vt(tm.coeff, tm.xpow - a2, tm.mono,
+                           "dc" + tm.direction[1:]))
         elif tm.direction == "dz":
             out.append(tm)
             out.append(_vt(tm.coeff, tm.xpow - a2, tm.mono, "dcZ"))
@@ -589,19 +564,11 @@ def transversality_check(t: Tower, include_w: bool = True) -> bool:
         bp = boundary_part(lift_vf(t, kind, "z"))
         if len(bp) != 1 or bp[0].direction != d:
             return False
-    rows.append(unit("dcT"))
-    for i in range(b):
-        rows.append(unit(f"dcY{i}"))
-    for j in range(f1):
-        rows.append(unit(f"dcZ{j}"))
+    rows += [unit(d) for d in dirs[:1 + b + f1]]          # dcT, dcY, dcZ
     if include_w:
-        for k in range(f2):
-            rows.append(unit(f"dw{k}"))
+        rows += [unit(f"dw{k}") for k in range(f2)]
     # tangents of the lifted diagonal
-    for i in range(b):
-        rows.append(unit(f"dy{i}"))
-    for j in range(f1):
-        rows.append(unit(f"dz{j}"))
+    rows += [unit(d) for d in dirs[1 + b + f1:1 + 2 * (b + f1)]]  # dy, dz
     for k in range(f2):
         row = [Fraction(0)] * len(dirs)
         row[idx[f"dw{k}"]] = Fraction(1)
