@@ -219,6 +219,8 @@ def generator(t: Tower, kind: str, index: int = 0) -> ADiffOp:
         return make_op(t, {(1,) + mu[1:]: 1})
     if kind not in _SLOT:
         raise ValueError("kind must be one of x, y, z, w")
+    if not 0 <= index < len(mu[1 + _SLOT[kind]]):
+        raise ValueError(f"generator {kind} has no direction {index}")
     return make_op(t, {_raised(mu, kind, index): 1})
 
 

@@ -415,3 +415,11 @@ def test_spectrum_distance_memory_stays_small():
         tracemalloc.stop()
     assert peak <= 8 * 2 ** 20
     assert r["min_distance"] == abs(complex(-1, 1)) and r["witness"] is None
+
+
+def test_generator_index_out_of_range_is_rejected():
+    t = Tower(2, (1, 1, 1), 0, (0, 1))
+    for kind, index in (("y", 0), ("z", 0), ("w", 1), ("w", -1)):
+        with pytest.raises(ValueError, match=f"generator {kind} has no"):
+            ms.generator(t, kind, index)
+    assert ms.generator(t, "w", 0).order == 1
