@@ -380,10 +380,16 @@ def cmd_resolvent_check(args) -> int:
         _emit(args, f"fully elliptic; margin {r['margin']:.12g}")
         return 0
     w = r["witness"]
-    _emit(args, "rejected: spectral parameter on the model spectrum; "
-                f"witness |mu|^2 = {w['mu_norm_sq']}, "
-                f"|k|^2 = {w['k_norm_sq']}" if w else
-                "rejected: margin below spectral distance")
+    if w:
+        _emit(args, "rejected: spectral parameter on the model spectrum; "
+                    f"witness |mu|^2 = {w['mu_norm_sq']}, "
+                    f"|k|^2 = {w['k_norm_sq']}")
+    elif "margin" in r:
+        _emit(args, "rejected: margin below spectral distance")
+    else:
+        _emit(args, "rejected: spectral parameter on the real half-line "
+                    "[0, inf); no witness mode within the truncation and "
+                    "grid")
     return DOMAIN_ERROR
 
 

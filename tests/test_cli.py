@@ -112,6 +112,18 @@ def test_resolvent_check(tower_file, capsys):
     assert "witness" in capsys.readouterr().out
 
 
+def test_resolvent_check_half_line_without_witness(tmp_path, capsys):
+    # with f_2 = 0 no fibre mode has |k|^2 = 1, so 1 + 4pi^2 has no witness
+    path = tmp_path / "f00.json"
+    path.write_text(json.dumps({"k": 2, "a": [1, 1, 1], "b": 1,
+                                "f": [0, 0]}))
+    assert run(["resolvent-check", "-c", str(path), "--lambda=1+4pi^2",
+                "--N", "2", "--radius", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "rejected: spectral parameter on the real half-line [0, inf); "
+        "no witness mode within the truncation and grid\n")
+
+
 def test_lambda_parser():
     from fractions import Fraction
     assert cli.parse_lambda("-1") == (-1, 0, 0)
