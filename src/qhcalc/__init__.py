@@ -12,12 +12,13 @@ Subpackages by concern:
 * op_calculus: operator classes, composition and mapping rules,
   parametrix remainder ledger, compactness thresholds;
 * model_symbols: exact model operators on flat-torus fibres, symbol and
-  boundary-family checks, spectral margins;
+  boundary-family checks, spectral margins (the one numpy user);
 * cli: batch front end.
+
+The last two load on demand (``import qhcalc.cli``).
 """
 
-from . import (a_spaces, cli, corner_spaces, densities, index_algebra,
-               model_symbols, op_calculus)
+from . import a_spaces, corner_spaces, densities, index_algebra, op_calculus
 from .a_spaces import Tower
 
 __all__ = ["Tower", "a_spaces", "cli", "corner_spaces", "densities",

@@ -410,15 +410,12 @@ def _triple_projection(t: Tower, stage: str, i: int, sym_space: Space,
 
 
 def face_table(proj: BMap) -> dict:
-    """Preimage classes of the double space faces, plus the interior."""
+    """Preimage classes of the double space faces, plus the interior; a
+    face mapped into several faces (no b-fibration) is listed under each."""
     out = {h: [] for h in proj.codomain_faces}
     out["interior"] = []
     for g in proj.domain_faces:
-        img = proj.face_map(g)
-        if not img:
-            out["interior"].append(g)
-        else:
-            (h,) = img
+        for h in proj.face_map(g) or ("interior",):
             out[h].append(g)
     return {k: tuple(sorted(v)) for k, v in out.items()}
 
@@ -498,10 +495,26 @@ def verify_facemaps(t: Tower) -> dict:
 CANONICAL_TOWER = Tower(2, (1, 1, 1), 1, (1, 1))
 
 
+def relabel_projection(p1: BMap, i: int) -> BMap:
+    """Index-i projection from the index-1 one, relabelled as in
+    ``relabel_table``; the symmetric space is its own relabelling."""
+    swap = {"lf": "rf", "rf": "lf"} if i == 3 else {}
+    return BMap(p1.domain, p1.codomain, {
+        _relabel_name(g, _SIGMA[i]): tuple(sorted((swap.get(h, h), e)
+                                                  for h, e in row))
+        for g, row in p1.rows.items()})
+
+
 @lru_cache(maxsize=None)
 def canonical_triple() -> ASpaceTriple:
-    """The depth-2 triple space whose combinatorics every tower shares."""
-    return triple_space(CANONICAL_TOWER)
+    """The depth-2 triple space whose combinatorics every tower shares.
+    Projections 2 and 3 are relabellings of the replayed projection 1;
+    ``triple_space`` replays all three, which checks that symmetry."""
+    t, dbl = CANONICAL_TOWER, double_space(CANONICAL_TOWER)
+    space, _ = replay(symmetric_triple_seq(t))
+    p1 = _triple_projection(t, "z", 1, space, dbl)
+    return ASpaceTriple(t, "z", space, (p1,) + tuple(
+        relabel_projection(p1, i) for i in (2, 3)), dbl)
 
 
 def triple_projection_tables() -> tuple:

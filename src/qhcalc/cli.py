@@ -19,7 +19,6 @@ from . import a_spaces as asp
 from . import corner_spaces as cs
 from . import densities as dn
 from . import index_algebra as ia
-from . import model_symbols as ms
 from . import op_calculus as oc
 from .a_spaces import Tower
 
@@ -276,6 +275,7 @@ def cmd_parametrix(args) -> int:
 
 
 def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
+    from . import model_symbols as ms
     b, f1, f2 = ms.model_dims(t)
     data = _read_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
@@ -313,6 +313,7 @@ def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
 
 
 def cmd_normal_family(args) -> int:
+    from . import model_symbols as ms
     t = _load_tower(args.config)
     if args.operator:
         P = _load_operator(t, args.operator)
@@ -365,6 +366,7 @@ def parse_lambda(text: str):
 
 
 def cmd_resolvent_check(args) -> int:
+    from . import model_symbols as ms
     t = _load_tower(args.config)
     try:
         re0, re2, im = parse_lambda(args.lam)
@@ -380,16 +382,12 @@ def cmd_resolvent_check(args) -> int:
         _emit(args, f"fully elliptic; margin {r['margin']:.12g}")
         return 0
     w = r["witness"]
-    if w:
-        _emit(args, "rejected: spectral parameter on the model spectrum; "
-                    f"witness |mu|^2 = {w['mu_norm_sq']}, "
-                    f"|k|^2 = {w['k_norm_sq']}")
-    elif "margin" in r:
-        _emit(args, "rejected: margin below spectral distance")
-    else:
-        _emit(args, "rejected: spectral parameter on the real half-line "
-                    "[0, inf); no witness mode within the truncation and "
-                    "grid")
+    reason = ("margin below spectral distance" if "margin" in r else
+              "spectral parameter on the real half-line [0, inf); no "
+              "witness mode within the truncation and grid")
+    _emit(args, "rejected: spectral parameter on the model spectrum; "
+                f"witness |mu|^2 = {w['mu_norm_sq']}, "
+                f"|k|^2 = {w['k_norm_sq']}" if w else f"rejected: {reason}")
     return DOMAIN_ERROR
 
 
@@ -401,7 +399,7 @@ def cmd_export_dot(args) -> int:
         if t.k != 2:
             print("triple space needs tower depth 2", file=sys.stderr)
             return DOMAIN_ERROR
-        space = asp.triple_space(t).space
+        space, _ = cs.replay(asp.symmetric_triple_seq(t))
     _emit(args, cs.export_dot(space, f"{args.space} space"))
     return 0
 

@@ -270,3 +270,44 @@ def test_degenerate_dimensions_full_pipeline():
     assert rep["tables"] == 9 and rep["mismatches"] == []
     d = double_space(t0)
     assert d.space.psub_meets("diag") == frozenset({"ff_z"})
+
+
+@pytest.mark.parametrize("t,stage", [(T, "x"), (T, "y"), (T, "z"),
+                                     (Tower(2, (1, 3, 1), 2, (1, 1)), "z")],
+                         ids=["canonical-x", "canonical-y", "canonical-z",
+                              "k2_orders-z"])
+def test_relabelled_projection_equals_replayed(t, stage):
+    trip = triple_space(t, stage)
+    p1 = trip.projections[0]
+    for i in (2, 3):
+        derived = asp.relabel_projection(p1, i)
+        assert derived.domain is trip.space
+        assert derived.codomain is trip.projections[i - 1].codomain
+        assert derived.rows == trip.projections[i - 1].rows
+
+
+def test_projection_tables_equal_replayed_projections():
+    replayed = triple_space(asp.CANONICAL_TOWER).projections
+    derived = asp.triple_projection_tables()
+    assert [p.rows for p in derived] == [p.rows for p in replayed]
+
+
+def _clear_replays():
+    triple_space.cache_clear()
+    cs._replay.cache_clear()
+
+
+def test_facemap_verification_replays_every_projection(monkeypatch):
+    # index 2 replaying the index-1 sequence must show up as mismatches,
+    # so verify_facemaps (and acceptance criterion 2) does not derive
+    # projections 2 and 3 from projection 1
+    relabel = asp.relabel_seq
+    monkeypatch.setattr(asp, "relabel_seq",
+                        lambda seq, i: seq if i == 2 else relabel(seq, i))
+    _clear_replays()
+    try:
+        rep = verify_facemaps(asp.CANONICAL_TOWER)
+    finally:
+        _clear_replays()
+    assert rep["tables"] == 9 and rep["mismatches"]
+    assert {m["projection"] for m in rep["mismatches"]} == {2}

@@ -1,9 +1,14 @@
 """Front-end behavior: exit codes, determinism, serialization."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import qhcalc
 from qhcalc import cli
 from qhcalc import op_calculus as oc
 from qhcalc.a_spaces import Tower
@@ -316,3 +321,26 @@ def test_operator_shape_mismatch_is_domain_error(tower_file, tmp_path,
         assert run(["normal-family", "-c", tower_file, "-O", str(op)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and what in err
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = str(pathlib.Path(qhcalc.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                            else ""))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_runs_without_warnings(tower_file):
+    p = _python("-W", "error", "-m", "qhcalc.cli", "tower", "validate",
+                "-c", tower_file)
+    assert p.returncode == 0 and p.stderr == ""
+    assert "valid" in p.stdout
+
+
+def test_package_and_cli_import_without_numpy():
+    p = _python("-c", "import sys, qhcalc, qhcalc.cli; "
+                      "print('numpy' in sys.modules)")
+    assert p.returncode == 0 and p.stdout == "False\n"
