@@ -13,9 +13,7 @@ Subpackages by concern:
   parametrix remainder ledger, compactness thresholds;
 * model_symbols: exact model operators on flat-torus fibres, symbol and
   boundary-family checks, spectral margins (the one numpy user);
-* cli: batch front end.
-
-The last two load on demand (``import qhcalc.cli``).
+* cli: batch front end.  It and model_symbols load on demand.
 """
 
 from . import a_spaces, corner_spaces, densities, index_algebra, op_calculus

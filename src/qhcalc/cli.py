@@ -14,6 +14,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import a_spaces as asp
 from . import corner_spaces as cs
@@ -21,6 +22,9 @@ from . import densities as dn
 from . import index_algebra as ia
 from . import op_calculus as oc
 from .a_spaces import Tower
+
+if TYPE_CHECKING:
+    from . import model_symbols as ms
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
