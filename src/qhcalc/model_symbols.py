@@ -7,15 +7,17 @@ symbol, so mode derivatives stay exact).  Lifts through the double-space
 blowups, principal symbols, operator composition with commutator
 corrections, and truncated fibre-mode matrices of boundary models are
 all computed without floating point; numerics appear only in grid
-sweeps for invertibility margins.
+sweeps for invertibility margins and in the sampled symbol check.
 
-The fully elliptic sweep compiles the boundary family once: at the base
-point 0 every phase is trivial, so the family is a polynomial in the
-conormal parameter whose matrix coefficients are assembled exactly, by
-the same mode rule as ``normal_family_matrix``, and then converted to
-complex arrays.  The grid is then evaluated with numpy in chunks of
-bounded size, one batched SVD per chunk, and the witness is the first
-grid point, in ``itertools.product`` order, that attains the minimum.
+The fully elliptic check has one spectral dispatch: the model Laplacian
+takes its closed-form spectrum, and every other operator the grid
+sweep.  The sweep compiles the boundary family once: at the base point
+0 every phase is trivial, so the family is a polynomial in the conormal
+parameter whose matrix coefficients are assembled exactly, by the same
+mode rule as ``normal_family_matrix``, and then converted to complex
+arrays.  The grid is evaluated with numpy in chunks of bounded size,
+one batched SVD per chunk, and the witness is the first grid point, in
+``itertools.product`` order, that attains the minimum.
 Model operators live on depth-2 towers; other depths are rejected with
 a ``ValueError``.
 """
@@ -27,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -101,15 +103,6 @@ class Coeff(_Sparse):
 
     def is_zero(self) -> bool:
         return not self
-
-    def eval_numeric(self, x: float, angles: Sequence[float]) -> complex:
-        out = 0j
-        for (n, m, w), v in self.items():
-            phase = sum(mi * ai for mi, ai in zip(m, angles))
-            out += (complex(v.re, v.im) * (x ** n) * (TWO_PI ** w)
-                    * complex(math.cos(TWO_PI * phase),
-                              math.sin(TWO_PI * phase)))
-        return out
 
 
 def coeff_const(t: Tower, value, xpow: int = 0,
@@ -237,8 +230,12 @@ def model_laplacian(t: Tower) -> ADiffOp:
 # generator action on coefficients -------------------------------------------
 
 def _gen_xweight(t: Tower, kind: str) -> int:
+    """Boundary power g of the weighted generator x^g d/d(kind)."""
     a1, a2 = t.orders[1], t.orders[2]
-    return {"x": 1 + a1 + a2, "y": a1 + a2, "z": a2, "w": 0}[kind]
+    weights = {"x": 1 + a1 + a2, "y": a1 + a2, "z": a2, "w": 0}
+    if kind not in weights:
+        raise ValueError(f"kind must be one of x, y, z, w, not {kind!r}")
+    return weights[kind]
 
 
 def _apply_gen_to_coeff(t: Tower, kind: str, index: int, c: Coeff) -> Coeff:
@@ -259,11 +256,6 @@ def _apply_gen_to_coeff(t: Tower, kind: str, index: int, c: Coeff) -> Coeff:
             add = v * m[pos]
         out.acc(k, add)
     return out
-
-
-def _gen_commutator_with_x(t: Tower, kind: str) -> int:
-    """[G, X] = i * (x-weight of G) * x^(a1+a2) * G."""
-    return _gen_xweight(t, kind) if kind != "x" else 0
 
 
 def _lmul_gen(t: Tower, kind: str, index: int, terms: dict) -> dict:
@@ -288,11 +280,11 @@ def _lmul_gen(t: Tower, kind: str, index: int, terms: dict) -> dict:
             acc(_raised(mu, kind, index), c)
             continue
         # commute past the boundary generators: G X^a = X (G X^{a-1})
-        # + i g x^{a1+a2} (G X^{a-1})
+        # + i g x^{a1+a2} (G X^{a-1}), g the x-weight of G
         inner = _lmul_gen(t, kind, index,
                           {_mi(alpha - 1, I, J, K): coeff_const(t, 1)})
         outer = _lmul_gen(t, "x", 0, inner)
-        g = _gen_commutator_with_x(t, kind)
+        g = _gen_xweight(t, kind)
         for nu, c2 in outer.items():
             acc(nu, c2 * c)
         for nu, c2 in inner.items():
@@ -309,15 +301,10 @@ def op_compose(P: ADiffOp, Q: ADiffOp) -> ADiffOp:
     for mu, c in P.terms:
         alpha, I, J, K = mu
         cur = {m: Coeff(cc) for m, cc in Q.terms}
-        for k in reversed(range(len(K))):
-            for _ in range(K[k]):
-                cur = _lmul_gen(t, "w", k, cur)
-        for j in reversed(range(len(J))):
-            for _ in range(J[j]):
-                cur = _lmul_gen(t, "z", j, cur)
-        for i in reversed(range(len(I))):
-            for _ in range(I[i]):
-                cur = _lmul_gen(t, "y", i, cur)
+        for kind, powers in (("w", K), ("z", J), ("y", I)):
+            for i in reversed(range(len(powers))):
+                for _ in range(powers[i]):
+                    cur = _lmul_gen(t, kind, i, cur)
         for _ in range(alpha):
             cur = _lmul_gen(t, "x", 0, cur)
         for nu, c2 in cur.items():
@@ -404,32 +391,19 @@ def _collect(terms):
 def is_weighted_field(t: Tower, terms) -> bool:
     """Membership test for the weighted vector field module.
 
-    Terms are (x power, direction kind, coefficient); boundary terms
-    need x power at least 1 + a_1 + a_2, base terms a_1 + a_2, middle
-    fibre terms a_2, deep fibre terms none.
+    Terms are (x power, direction kind, coefficient); each term needs
+    at least the boundary power of its generator (`_gen_xweight`).
     """
-    a1, a2 = t.orders[1], t.orders[2]
-    need = {"x": 1 + a1 + a2, "y": a1 + a2, "z": a2, "w": 0}
-    for xpow, kind, _coeff in terms:
-        if kind not in need:
-            raise ValueError(f"unknown direction kind {kind!r}")
-        if xpow < need[kind]:
-            return False
-    return True
+    return all(xpow >= _gen_xweight(t, kind) for xpow, kind, _ in terms)
 
 
 def basis_field(t: Tower, kind: str) -> tuple:
-    """Weighted basis field as interior chart terms before any blowup."""
-    a1, a2 = t.orders[1], t.orders[2]
+    """Weighted basis field as interior chart terms before any blowup;
+    the x field is written with x d/dx, so its power is one less."""
+    xpow = _gen_xweight(t, kind)
     if kind == "x":
-        return (_vt(1, a1 + a2, (), "x_dx"),)
-    if kind == "y":
-        return (_vt(1, a1 + a2, (), "dy"),)
-    if kind == "z":
-        return (_vt(1, a2, (), "dz"),)
-    if kind == "w":
-        return (_vt(1, 0, (), "dw"),)
-    raise ValueError("kind must be one of x, y, z, w")
+        return (_vt(1, xpow - 1, (), "x_dx"),)
+    return (_vt(1, xpow, (), "d" + kind),)
 
 
 def _subst_t(terms, a1):
@@ -660,12 +634,14 @@ class NormalFamilyMatrix:
         return all(r == c for (r, c) in self.entries)
 
 
-def _check_truncation(P: ADiffOp, N: int, sw: slice) -> None:
+def _truncated_modes(P: ADiffOp, N: int, sw: slice) -> tuple:
+    """Deep-fibre modes of sup-norm <= N, once N dominates the support."""
     support = max((abs(q) for _, c in P.terms for (n, m, w) in c if n == 0
                    for q in m[sw]), default=0)
     if support > N:
         raise ValueError(
             f"truncation {N} below coefficient mode support {support}")
+    return tuple(itertools.product(range(-N, N + 1), repeat=P.tower.f[1]))
 
 
 def _mode_entries(c: Coeff, K: tuple, modes: tuple, N: int, sw: slice):
@@ -703,7 +679,7 @@ def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
     reference for the compiled family of the grid sweep.
     """
     t = P.tower
-    b, f1, f2 = model_dims(t)
+    b, f1, _ = model_dims(t)
     if len(point) != b + f1:
         raise ValueError("base point needs one angle per y and z direction")
     if len(mu) != 1 + b + f1:
@@ -711,13 +687,12 @@ def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
     point = tuple(Fraction(p) for p in point)
     mu = tuple(Fraction(m) for m in mu)
     sy, sz, sw = _mode_slices(t)
-    _check_truncation(P, N, sw)
+    modes = _truncated_modes(P, N, sw)
     phases = {m: sum(mi * pi for mi, pi in zip(m[sy], point[:b]))
               + sum(mi * pi for mi, pi in zip(m[sz], point[b:]))
               for _, c in P.terms for (n, m, w) in c if n == 0}
     exact = all(ph.denominator == 1 for ph in phases.values())
 
-    modes = tuple(itertools.product(range(-N, N + 1), repeat=f2))
     entries: dict = {}
     for (alpha, I, J, K), c in P.terms:
         base = mu[0] ** alpha
@@ -895,21 +870,20 @@ def resolvent_model_check(t: Tower, lam_re0, lam_re2, lam_im, N: int = 8,
 
 def fully_elliptic_check(P: ADiffOp, lam_re0=0, lam_re2=0, lam_im=0,
                          N: int = 8, radius=Fraction(10),
-                         step=Fraction(1, 2),
-                         analytic_tail: Optional[str] = None) -> dict:
+                         step=Fraction(1, 2)) -> dict:
     """Certificate for a model operator shifted by a spectral parameter.
 
-    Symbol ellipticity is certified exactly for sums of squares; the
-    boundary family margin is the grid minimum of the smallest singular
-    value.  The model Laplacian uses its closed-form spectrum; any other
-    operator is compiled once into exact matrix coefficients of the
-    monomials in mu and swept in chunks, one batched SVD per chunk.  The
-    witness is the first grid point, in ``itertools.product`` order,
-    that attains the minimum; it agrees with the exact per-point
-    ``normal_family_matrix`` path.  The tail field records whether large
-    parameters are covered by an analytic bound or only by the grid.
+    Symbol ellipticity is certified exactly for sums of squares and
+    sampled on the unit sup-sphere otherwise; the boundary family margin
+    is the grid minimum of the smallest singular value.  The model
+    Laplacian uses its closed-form spectrum; any other operator is
+    compiled once into exact matrix coefficients of the monomials in mu
+    and swept in chunks, one batched SVD per chunk.  The witness is the
+    first grid point, in ``itertools.product`` order, that attains the
+    minimum; it agrees with the exact per-point ``normal_family_matrix``
+    path.  No bound covers parameters beyond the grid yet, so the tail
+    field reads "grid-only".
     """
-    t = P.tower
     sym = principal_symbol(P)
     sums_of_squares = all(
         all(q % 2 == 0 for q in (mu[0],) + mu[1] + mu[2] + mu[3])
@@ -921,19 +895,13 @@ def fully_elliptic_check(P: ADiffOp, lam_re0=0, lam_re2=0, lam_im=0,
     else:
         elliptic = _symbol_nonvanishing_sampled(sym)
         symbol_note = "sampled on the unit sphere"
-    lam = complex(float(lam_re0) + float(lam_re2) * math.pi ** 2,
-                  float(lam_im))
-    diagonal = _is_w_constant(P)
-    if diagonal:
+    if _is_model_laplacian(P):
         data = laplacian_spectrum_min_distance(
-            t, lam_re0, lam_re2, lam_im, N, radius, step) \
-            if _is_model_laplacian(P) else None
-        if data is not None:
-            minsv = data["min_distance"]
-            witness = data["witness"]
-        else:
-            minsv, witness = _grid_min_singular(P, lam, N, radius, step)
+            P.tower, lam_re0, lam_re2, lam_im, N, radius, step)
+        minsv, witness = data["min_distance"], data["witness"]
     else:
+        lam = complex(float(lam_re0) + float(lam_re2) * math.pi ** 2,
+                      float(lam_im))
         minsv, witness = _grid_min_singular(P, lam, N, radius, step)
     invertible = minsv > 1e-12
     return {"symbol_elliptic": bool(elliptic),
@@ -941,11 +909,15 @@ def fully_elliptic_check(P: ADiffOp, lam_re0=0, lam_re2=0, lam_im=0,
             "min_singular_value": float(minsv),
             "fully_elliptic": bool(elliptic and invertible),
             "witness": witness,
-            "tail": analytic_tail or "grid-only"}
+            "tail": "grid-only"}
 
 
-def _symbol_nonvanishing_sampled(sym: SymbolPoly, steps: int = 7,
-                                 tol: float = 1e-9) -> bool:
+# sup-sphere sampling of a top symbol: 7 points per axis, zero among them
+_SPHERE_AXIS = tuple(-1 + 2 * i / 6 for i in range(7))
+_SYMBOL_TOL = 1e-9
+
+
+def _symbol_nonvanishing_sampled(sym: SymbolPoly) -> bool:
     """Nonvanishing of the top symbol on a sampled unit sup-sphere.
 
     Coefficients are frozen at the boundary and the base origin; the
@@ -953,38 +925,32 @@ def _symbol_nonvanishing_sampled(sym: SymbolPoly, steps: int = 7,
     """
     t = sym.tower
     nvars = 1 + t.b + t.f[0] + t.f[1]
+    # at x = 0 and base point 0 every phase is trivial
+    terms = [((mu[0],) + mu[1] + mu[2] + mu[3],
+              sum(complex(v.re, v.im) * TWO_PI ** w
+                  for (n, _, w), v in c.items() if n == 0))
+             for mu, c in sym.terms]
     if sym.degree == 0:
-        vals = [c.eval_numeric(0.0, [0.0] * (t.b + sum(t.f)))
-                for _, c in sym.terms]
-        return bool(abs(sum(vals)) > tol)
-    if steps % 2 == 0:
-        steps += 1                 # keep zero on the sampling axis
-    axis = [(-1 + 2 * i / (steps - 1)) for i in range(steps)]
+        return bool(abs(sum(v for _, v in terms)) > _SYMBOL_TOL)
     for face_var in range(nvars):
         for sign in (-1.0, 1.0):
-            for rest in itertools.product(axis, repeat=nvars - 1):
-                xi = list(rest[:face_var]) + [sign] + list(rest[face_var:])
+            for rest in itertools.product(_SPHERE_AXIS, repeat=nvars - 1):
+                xi = rest[:face_var] + (sign,) + rest[face_var:]
                 total = 0j
-                for mu, c in sym.terms:
-                    powers = (mu[0],) + mu[1] + mu[2] + mu[3]
+                for powers, v in terms:
                     mono = 1.0
-                    for p, v in zip(powers, xi):
-                        mono *= v ** p
-                    total += c.eval_numeric(
-                        0.0, [0.0] * (t.b + sum(t.f))) * mono
-                if abs(total) <= tol:
+                    for p, x in zip(powers, xi):
+                        mono *= x ** p
+                    total += v * mono
+                if abs(total) <= _SYMBOL_TOL:
                     return False
     return True
 
 
-def _is_w_constant(P: ADiffOp) -> bool:
-    t = P.tower
-    _, _, sw = _mode_slices(t)
-    return all(all(not any(m[sw]) for (n, m, w) in c)
-               for _, c in P.terms)
-
-
 def _is_model_laplacian(P: ADiffOp) -> bool:
+    """Whether P is the model Laplacian; a torus mode rules it out early."""
+    if any(any(m) for _, c in P.terms for _, m, _ in c):
+        return False
     return P.terms == model_laplacian(P.tower).terms
 
 
@@ -999,8 +965,7 @@ def _compile_family(P: ADiffOp, N: int):
     Returns the modes and {k: [(e, C[k, e]), ...]} in increasing k.
     """
     _, _, sw = _mode_slices(P.tower)
-    _check_truncation(P, N, sw)
-    modes = tuple(itertools.product(range(-N, N + 1), repeat=P.tower.f[1]))
+    modes = _truncated_modes(P, N, sw)
     exact: dict = {}
     for (alpha, I, J, K), c in P.terms:
         for _, row, col, wpow, kfac, v in _mode_entries(c, K, modes, N, sw):

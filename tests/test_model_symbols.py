@@ -242,8 +242,7 @@ def test_kernel_coeff_check():
 def test_fully_elliptic_certificates():
     lap = ms.model_laplacian(T)
     cert = ms.fully_elliptic_check(lap, lam_re0=-1, N=4,
-                                   radius=Fraction(3), step=Fraction(1, 2),
-                                   analytic_tail="eigenvalues >= |mu|^2")
+                                   radius=Fraction(3), step=Fraction(1, 2))
     assert cert["symbol_elliptic"] and cert["fully_elliptic"]
     assert cert["min_singular_value"] >= 1 - 1e-12
     cert0 = ms.fully_elliptic_check(lap, N=4, radius=Fraction(3),
@@ -254,6 +253,23 @@ def test_fully_elliptic_certificates():
     c1 = ms.fully_elliptic_check(one, N=2, radius=Fraction(1),
                                  step=Fraction(1, 2))
     assert abs(c1["min_singular_value"] - 1) < 1e-12
+    # no bound covers parameters beyond the grid yet
+    assert cert["tail"] == cert0["tail"] == c1["tail"] == "grid-only"
+
+
+def test_mode_dependent_operator_builds_no_laplacian(monkeypatch):
+    # a torus mode in a coefficient rules out the closed form at once
+    terms = {mu: c for mu, c in ms.model_laplacian(T).terms}
+    terms[ms._mi_zero(T)] = ms.Coeff({(0, (0, 0, 1), 0): cx(1)})
+    P = ms.make_op(T, terms)
+
+    def refuse(t):
+        raise AssertionError("model Laplacian built for a w-dependent op")
+
+    monkeypatch.setattr(ms, "model_laplacian", refuse)
+    cert = ms.fully_elliptic_check(P, lam_re0=-3, N=2, radius=Fraction(1),
+                                   step=Fraction(1, 2))
+    assert cert["fully_elliptic"] and cert["witness"] is not None
 
 
 def test_resolvent_model_check():
@@ -291,6 +307,20 @@ def test_weighted_field_validator():
     assert not ms.is_weighted_field(t, [(5, "x", 1)])
     with pytest.raises(ValueError):
         ms.is_weighted_field(T, [(0, "q", 1)])
+
+
+def test_basis_fields_are_weighted_and_sharp():
+    for a1, a2 in itertools.product(range(1, 4), repeat=2):
+        t = Tower(2, (1, a1, a2), 1, (1, 1))
+        for kind in ("x", "y", "z", "w"):
+            (tm,) = ms.basis_field(t, kind)
+            assert tm.direction == ("x_dx" if kind == "x" else "d" + kind)
+            # x d/dx carries one boundary power more as a d/dx field
+            xpow = tm.xpow + (kind == "x")
+            assert ms.is_weighted_field(t, [(xpow, kind, tm.coeff)])
+            assert not ms.is_weighted_field(t, [(xpow - 1, kind, tm.coeff)])
+    with pytest.raises(ValueError, match="kind must be one of"):
+        ms.basis_field(T, "q")
 
 
 def test_sampled_symbol_ellipticity():
