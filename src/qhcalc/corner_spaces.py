@@ -897,21 +897,12 @@ def blowup(space: Space, center, a: int, label: str = ""):
             out.add(label)
         new_dmeets.append((key, frozenset(out)))
 
-    new_reg = []
-    for name, ps in space.registry:
-        t = ps.locus
-        if space.locus_contained_in(t, c):
-            if ps.order != INF and ps.order <= a:
-                continue  # fully resolved by this blowup
-            lifted = Locus((t.faces - c.faces) | {label}, t.merge)
-            new_reg.append((name, PSub(lifted, ps.order if ps.order == INF
-                                       else ps.order - a)))
-        else:
-            new_reg.append((name, ps))
+    lifted = ((name, _lift(space, ps, step)) for name, ps in space.registry)
+    new_reg = tuple((name, ps) for name, ps in lifted if ps is not None)
 
     new = Space(space.name, space.n_factors, space.dims,
                 space.faces + (ff,), strata, tuple(new_dmeets),
-                tuple(new_reg), space.history + (step,))
+                new_reg, space.history + (step,))
 
     entries = [(f.name, f.name, 1) for f in space.faces]
     entries += [(label, h, 1) for h in sorted(c.faces)]
@@ -927,26 +918,31 @@ def register(space: Space, name: str, psub: PSub) -> Space:
     return replace(space, registry=space.registry + ((name, psub),))
 
 
-def lift(beta: BMap, S: PSub) -> PSub:
-    """Lift a submanifold under a single blowdown map.
+def _lift(old: Space, S: PSub, step: Step) -> Optional[PSub]:
+    """Lift of S through one blowup of `old`; None when it is fully resolved.
 
     Either S is contained in the blown-up center (lift lives in the
     front face, definedness order drops by the blowup order) or S closes
-    up off the center (strict transform, order unchanged).
+    up off the center (strict transform, unchanged).
     """
+    c, a = step.center, step.order
+    if not old.locus_contained_in(S.locus, c):
+        return S
+    if S.order != INF and S.order <= a:
+        return None
+    lifted = Locus((S.locus.faces - c.faces) | {step.label}, S.locus.merge)
+    return PSub(lifted, S.order if S.order == INF else S.order - a)
+
+
+def lift(beta: BMap, S: PSub) -> PSub:
+    """Lift a submanifold under a single blowdown map."""
     if beta.step is None:
         raise ValueError("lift needs a single blowdown map")
-    c, a = beta.step.center, beta.step.order
-    old = beta.codomain
-    label = beta.step.label
-    if old.locus_contained_in(S.locus, c):
-        if S.order != INF and S.order <= a:
-            raise BlowupError(
-                "submanifold order deficit: fully resolved, lift undefined")
-        lifted = Locus((S.locus.faces - c.faces) | {label}, S.locus.merge)
-        return PSub(lifted, S.order if S.order == INF else S.order - a)
-    # otherwise the part away from the center is dense: strict transform
-    return PSub(S.locus, S.order)
+    out = _lift(beta.codomain, S, beta.step)
+    if out is None:
+        raise BlowupError(
+            "submanifold order deficit: fully resolved, lift undefined")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1101,14 +1097,15 @@ def seq_from_json(base: Space, data) -> BlowupSeq:
     return BlowupSeq(base, tuple(entries))
 
 
-def bubble_to(seq: BlowupSeq, label: str, target: int, rule: int = 1) -> BlowupSeq:
-    """Move the labeled entry to the target index by adjacent swaps."""
+def bubble_to(seq: BlowupSeq, label: str, target: int) -> BlowupSeq:
+    """Move the labeled entry to the target index by adjacent swaps
+    of certified-disjoint centers (rule 1)."""
     i = seq.index_of(label)
     while i > target:
-        seq = rewrite_step(seq, rule, i - 1)
+        seq = rewrite_step(seq, 1, i - 1)
         i -= 1
     while i < target:
-        seq = rewrite_step(seq, rule, i)
+        seq = rewrite_step(seq, 1, i)
         i += 1
     return seq
 
