@@ -89,12 +89,11 @@ def cmd_tower_validate(args) -> int:
 
 def cmd_space_double(args) -> int:
     t = _load_tower(args.config)
+    if args.format == "dot":
+        return _emit_dot(args, t, "double")
     d = asp.double_space(t)
     pl, pr = d.proj_l, d.proj_r
     faces = d.faces
-    if args.format == "dot":
-        _emit(args, cs.export_dot(d.space, "double space"))
-        return 0
     data = {"faces": list(faces),
             "e_left": list(asp.exponent_vector(pl, faces)),
             "e_right": list(asp.exponent_vector(pr, faces)),
@@ -119,10 +118,9 @@ def cmd_space_triple(args) -> int:
         print("triple space construction needs tower depth 2",
               file=sys.stderr)
         return DOMAIN_ERROR
-    trip = asp.triple_space(t)
     if args.format == "dot":
-        _emit(args, cs.export_dot(trip.space, "triple space"))
-        return 0
+        return _emit_dot(args, t, "triple")
+    trip = asp.triple_space(t)
     bij = asp.triple_constructions_isomorphic(t)
     data = {"faces": list(trip.space.face_names),
             "face_count": len(trip.space.faces),
@@ -395,17 +393,22 @@ def cmd_resolvent_check(args) -> int:
     return DOMAIN_ERROR
 
 
-def cmd_export_dot(args) -> int:
-    t = _load_tower(args.config)
-    if args.space == "double":
+def _emit_dot(args, t: Tower, which: str) -> int:
+    """Face lattice; the triple space is its symmetric replay alone."""
+    if which == "double":
         space = asp.double_space(t).space
     else:
-        if t.k != 2:
-            print("triple space needs tower depth 2", file=sys.stderr)
-            return DOMAIN_ERROR
         space, _ = cs.replay(asp.symmetric_triple_seq(t))
-    _emit(args, cs.export_dot(space, f"{args.space} space"))
+    _emit(args, cs.export_dot(space, f"{which} space"))
     return 0
+
+
+def cmd_export_dot(args) -> int:
+    t = _load_tower(args.config)
+    if args.space == "triple" and t.k != 2:
+        print("triple space needs tower depth 2", file=sys.stderr)
+        return DOMAIN_ERROR
+    return _emit_dot(args, t, args.space)
 
 
 def build_parser() -> argparse.ArgumentParser:

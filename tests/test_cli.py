@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import qhcalc
+from qhcalc import a_spaces as asp
 from qhcalc import cli
 from qhcalc import op_calculus as oc
 from qhcalc.a_spaces import Tower
@@ -155,6 +156,21 @@ def test_export_dot(tower_file, tmp_path):
                 "-o", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("graph") and '"ff_z"' in text
+
+
+def test_space_triple_dot_replays_no_projection(tower_file, monkeypatch,
+                                                capsys):
+    # the dot view prints only the space, so it takes the export-dot path
+    def refuse(*args):
+        raise AssertionError("triple projection replayed for a dot view")
+
+    asp.triple_space.cache_clear()
+    monkeypatch.setattr(asp, "_triple_projection", refuse)
+    assert run(["space", "triple", "-c", tower_file, "--format", "dot"]) == 0
+    dot = capsys.readouterr().out
+    assert dot.startswith('graph "triple space" {')
+    assert run(["export-dot", "-c", tower_file, "--space", "triple"]) == 0
+    assert capsys.readouterr().out == dot
 
 
 def test_no_command_is_usage_error(capsys):
