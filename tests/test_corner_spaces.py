@@ -84,6 +84,23 @@ def test_lift_contained_loses_order():
     assert "ffy" in lifted.locus.faces
 
 
+def test_fully_resolved_submanifold_is_dropped():
+    # blowing up to the full definedness order resolves a submanifold:
+    # the registry drops it and lift refuses it; a higher order survives
+    sp = product_space(2, {0: 1}, face_names=("lf", "rf"))
+    sp, _ = blowup(sp, corner("lf", "rf"), 1, "ffx")
+    loc = diag_locus({1, 2}, 0, "ffx")
+    sp = register(register(sp, "d1", PSub(loc, order=1)),
+                  "d3", PSub(loc, order=3))
+    new, beta = blowup(sp, loc, 1, "ffy")
+    reg = dict(new.registry)
+    assert "d1" not in reg
+    assert reg["d3"] == lift(beta, PSub(loc, order=3))
+    assert reg["d3"].order == 2 and "ffy" in reg["d3"].locus.faces
+    with pytest.raises(cs.BlowupError, match="fully resolved"):
+        lift(beta, PSub(loc, order=1))
+
+
 def test_lift_disjoint_is_relabeled():
     sp = quadrant()
     new, beta = blowup(sp, corner("x1", "x2"), 1, "ff")
