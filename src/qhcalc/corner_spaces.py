@@ -32,22 +32,26 @@ built.  A `Merge` keeps its per-level partitions plus the set of its
 `eq` and `maxlevel` are lookups; the deepest level alone would not do,
 as `from_pairs` and `reduce_by` can merge a pair at a level but not at
 a shallower one.  `join` is a per-level union-find with a bounded cache.
-A `Face` keeps its valuations in a dict; a `Space` indexes faces by name
-and keeps its strata as bitmasks over face positions (faces are only
-appended), so `meets`, `neighborhood` and the face closure of a locus
-are bit work.  A `BMap` stores its exponent matrix by rows, each domain
-face mapped to its ((codomain face, e), ...) nonzeros, so an entry or
-a face image reads one row and composition joins rows.
+A `Locus` stores its hash, as a `Merge` does.  A `Face` keeps its
+valuations in a dict; a `Space` indexes faces, level dimensions, tracked
+diagonal meet sets and registered submanifolds by key, and keeps its
+strata as bitmasks over face positions (faces are only appended), so
+`meets`, `neighborhood` and the face closure of a locus are bit work.
+A `BMap` stores its exponent matrix by rows, each domain face mapped to
+its ((codomain face, e), ...) nonzeros, so an entry or a face image
+reads one row and composition joins rows.
 
 Memo scope.  `canon_merge`, `_closure` and `neighborhood` are pure,
-and are memoized inside a scope that `blowup`, `Space.disjoint` or
-`Space.psub_meets` opens on its space; nested scopes share it and it is
-dropped when the outermost returns.  A memo kept as long as its space
-would live in the replay cache with it.
+and are memoized, one dict per method, inside a scope that `blowup`,
+`Space.disjoint` or `Space.psub_meets` opens on its space; nested scopes
+share it and it is dropped when the outermost returns (a memo kept as
+long as its space would live in the replay cache with it).  Certificates
+test merge data before face closures, so few lookups reach a closure.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
@@ -229,6 +233,14 @@ class Locus:
     faces: frozenset
     merge: Merge = Merge.trivial()
     pure: bool = True
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.faces, self.merge, self.pure)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_corner(self) -> bool:
@@ -241,6 +253,10 @@ def corner(*faces) -> Locus:
 
 def diag_locus(factors, top_level, *faces) -> Locus:
     return Locus(frozenset(faces), Merge.diag(factors, top_level))
+
+
+# faceless locus of a tracked (factors, level) diagonal, built once
+_tracked_diag = functools.lru_cache(maxsize=256)(lambda key: diag_locus(*key))
 
 
 @dataclass(frozen=True)
@@ -317,7 +333,7 @@ def _memo_scope(fn):
     def wrapper(space, *args, **kwargs):
         if space._memo is not None:
             return fn(space, *args, **kwargs)
-        object.__setattr__(space, "_memo", {})
+        object.__setattr__(space, "_memo", collections.defaultdict(dict))
         try:
             return fn(space, *args, **kwargs)
         finally:
@@ -329,12 +345,13 @@ def _memoized(method):
     """Memoize a one-argument Space method while a memo scope is open."""
     @functools.wraps(method)
     def wrapper(self, arg):
-        memo, key = self._memo, (method.__name__, arg)
-        if memo is None:
+        if self._memo is None:
             return method(self, arg)
-        if key not in memo:
-            memo[key] = method(self, arg)
-        return memo[key]
+        memo = self._memo[method]
+        out = memo.get(arg)
+        if out is None:
+            out = memo[arg] = method(self, arg)
+        return out
     return wrapper
 
 
@@ -351,6 +368,9 @@ class Space:
     registry: tuple                # ((name, PSub), ...)
     history: tuple = ()
     _index: dict = field(init=False, repr=False, compare=False)
+    _dims: dict = field(init=False, repr=False, compare=False)
+    _tracked: dict = field(init=False, repr=False, compare=False)
+    _registered: dict = field(init=False, repr=False, compare=False)
     _strata: tuple = field(init=False, repr=False, compare=False)
     _gt: dict = field(init=False, repr=False, compare=False)
     _hist: tuple = field(init=False, repr=False, compare=False)
@@ -359,6 +379,9 @@ class Space:
     def __post_init__(self):
         set_ = functools.partial(object.__setattr__, self)
         set_("_index", {f.name: k for k, f in enumerate(self.faces)})
+        set_("_dims", dict(self.dims))
+        set_("_tracked", dict(self.diag_meets))
+        set_("_registered", dict(self.registry))
         set_("_memo", None)
         set_("_strata", tuple(self._mask(m) for m in self.strata))
         # (i, j) -> faces where x_i vanishes to higher order than x_j
@@ -383,7 +406,7 @@ class Space:
         return self.face(face_name).val(symbol)
 
     def dim_of_level(self, level: int) -> int:
-        return dict(self.dims)[level]
+        return self._dims[level]
 
     @property
     def levels(self):
@@ -406,7 +429,7 @@ class Space:
         return any(s & m == s for m in self._strata)
 
     def registered(self, name: str) -> PSub:
-        return dict(self.registry)[name]
+        return self._registered[name]
 
     @_memoized
     def _nbr(self, mask: int) -> int:
@@ -514,8 +537,7 @@ class Space:
             fm = self._faces_merged(locus.faces)
             inside = [(p, m.maxlevel(p)) for p in m.all_pairs()
                       if fm.maxlevel(p) < m.maxlevel(p)]
-        tracked = dict(self.diag_meets)
-        if not all(locus.faces <= tracked.get(key, locus.faces)
+        if not all(locus.faces <= self._tracked.get(key, locus.faces)
                    for key in inside):
             return False
         if not locus.faces:
@@ -561,18 +583,20 @@ class Space:
         Requires the joint locus to be contained in the center (with
         neither locus swallowed whole), every interior direction of the
         center to be pinned by the joint merge data, and no fibre point
-        of both cones to survive over the front face.
+        of both cones to survive over the front face.  The conditions
+        are pure, so they run cheapest first: labels, merges, the joint
+        closure, then the closure of each locus and the fibre witness.
         """
         C = step.center
+        if step.label in t1.faces or step.label in t2.faces:
+            return False
+        if not C.merge.leq(self.canon_merge(t1).join(self.canon_merge(t2))):
+            return False
         joint = Locus(t1.faces | t2.faces, t1.merge.join(t2.merge),
                       t1.pure and t2.pure)
-        if step.label in joint.faces:
+        if not self.locus_contained_in(joint, C):
             return False
         if self.locus_contained_in(t1, C) or self.locus_contained_in(t2, C):
-            return False
-        if not (self.locus_contained_in(joint, C)
-                and C.merge.leq(self.canon_merge(t1).join(
-                    self.canon_merge(t2)))):
             return False
         forced = frozenset(self._names(self._mask(C.faces) & (
             self._closure(t1) | self._closure(t2))))
@@ -812,10 +836,9 @@ def _new_strata(space: Space, center: Locus, ff_name: str) -> frozenset:
                    if b | cmask in all_old and b & cmask != cmask)
     else:
         new = set(space._strata)
-        for b in all_old:
-            tot = b | cmask
-            if tot in all_old and not space.disjoint(
-                    center, Locus(frozenset(space._names(tot)))):
+        for tot in {b | cmask for b in all_old} & all_old:
+            if not space.disjoint(center,
+                                  Locus(frozenset(space._names(tot)))):
                 new.add(tot | ff)
     maximal = []
     for s in sorted(new, key=int.bit_count, reverse=True):
@@ -887,12 +910,9 @@ def blowup(space: Space, center, a: int, label: str = ""):
 
     new_dmeets = []
     for key, ms in space.diag_meets:
-        factors, level = key
-        dloc = Locus(frozenset(), Merge.diag(factors, level))
-        out = set()
-        for h in ms:
-            if not space.separated_by(dloc, Locus(frozenset({h})), step):
-                out.add(h)
+        dloc = _tracked_diag(key)
+        out = {h for h in ms
+               if not space.separated_by(dloc, Locus(frozenset({h})), step)}
         if c.faces <= ms and not space.disjoint(dloc, c):
             out.add(label)
         new_dmeets.append((key, frozenset(out)))

@@ -263,3 +263,39 @@ def test_rewrite_checkpoints_isomorphic():
         if i in (3, 7, 12):     # after each triple exchange
             B, _ = replay(s)
             assert isomorphic(A, B, incidence="within") is not None
+
+
+def _clear_engine_caches():
+    from qhcalc import a_spaces as asp
+    for cached in (cs._replay, asp.triple_space, asp.double_space,
+                   asp.canonical_triple):
+        cached.cache_clear()
+
+
+def test_cold_facemap_verify_work_counts(monkeypatch):
+    # work counts do not depend on the machine: a certificate that gets
+    # dearer shows up here even where wall times are noise.  The bounds
+    # are the counts of the cheapest-first certificate order.
+    from qhcalc import a_spaces as asp
+    counts = dict.fromkeys(("blowup", "_fm_feasible", "disjoint",
+                            "_closure"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((cs, "blowup"), (cs, "_fm_feasible"),
+                        (cs.Space, "disjoint"), (cs.Space, "_closure")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    _clear_engine_caches()
+    try:
+        rep = asp.verify_facemaps(asp.CANONICAL_TOWER)
+    finally:
+        _clear_engine_caches()
+    assert rep == {"tables": 9, "mismatches": []}
+    assert counts["blowup"] == 169          # every replay ran cold
+    assert counts["_fm_feasible"] <= 2637
+    assert counts["disjoint"] <= 3039
+    assert counts["_closure"] <= 18790      # memo lookups, hits included
