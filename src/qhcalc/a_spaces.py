@@ -274,8 +274,11 @@ def _sym_entries(t: Tower, stage: str):
 
 
 def symmetric_triple_seq(t: Tower, stage: str = "z") -> BlowupSeq:
-    if stage in ("y", "z") and t.k < 1 or stage == "z" and t.k != 2:
-        raise ValueError("triple space stages y/z need tower depth 1/2")
+    """Every triple-space view starts here, so the depth is checked here."""
+    if stage == "z" and t.k != 2:
+        raise ValueError("triple space needs tower depth 2")
+    if stage == "y" and t.k < 1:
+        raise ValueError("triple space stage y needs tower depth 1")
     if t.a0 != 1:
         raise ValueError("space constructions need a_0 = 1")
     dims = t.level_dims()
@@ -375,8 +378,6 @@ def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
     times the double space) with the product projection, re-based onto
     the symmetric space through the canonical face naming.
     """
-    if stage == "z" and t.k != 2:
-        raise ValueError("full triple space needs tower depth 2")
     sym = symmetric_triple_seq(t, stage)
     space, _ = replay(sym)
     dt = reduce(t, TRIPLE_STAGES.index(stage))

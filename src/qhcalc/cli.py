@@ -114,10 +114,6 @@ def cmd_space_double(args) -> int:
 
 def cmd_space_triple(args) -> int:
     t = _load_tower(args.config)
-    if t.k != 2:
-        print("triple space construction needs tower depth 2",
-              file=sys.stderr)
-        return DOMAIN_ERROR
     if args.format == "dot":
         return _emit_dot(args, t, "triple")
     trip = asp.triple_space(t)
@@ -404,11 +400,7 @@ def _emit_dot(args, t: Tower, which: str) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    t = _load_tower(args.config)
-    if args.space == "triple" and t.k != 2:
-        print("triple space needs tower depth 2", file=sys.stderr)
-        return DOMAIN_ERROR
-    return _emit_dot(args, t, args.space)
+    return _emit_dot(args, _load_tower(args.config), args.space)
 
 
 def build_parser() -> argparse.ArgumentParser:

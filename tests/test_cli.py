@@ -262,6 +262,17 @@ def test_normal_family_needs_depth_2(tmp_path, capsys):
         _needs_depth_2(["normal-family", "-c", path, "-O", str(op)], capsys)
 
 
+def test_triple_space_needs_depth_2(tmp_path, capsys):
+    # every triple view reaches the one depth check of the symmetric
+    # sequence, so all three say the same line
+    for path in _shallow_towers(tmp_path):
+        for args in (["space", "triple"],
+                     ["space", "triple", "--format", "dot"],
+                     ["export-dot", "--space", "triple"]):
+            _needs_depth_2(args + ["-c", path], capsys,
+                           "triple space needs")
+
+
 def test_resolvent_check_needs_depth_2(tmp_path, capsys):
     for path in _shallow_towers(tmp_path):
         _needs_depth_2(["resolvent-check", "-c", path, "--lambda=-1"],
