@@ -932,17 +932,24 @@ def _symbol_nonvanishing_sampled(sym: SymbolPoly) -> bool:
              for mu, c in sym.terms]
     if sym.degree == 0:
         return bool(abs(sum(v for _, v in terms)) > _SYMBOL_TOL)
-    for face_var in range(nvars):
-        for sign in (-1.0, 1.0):
-            for rest in itertools.product(_SPHERE_AXIS, repeat=nvars - 1):
-                xi = rest[:face_var] + (sign,) + rest[face_var:]
-                total = 0j
+    # Python's x ** p, then the point loop's products and sums in order
+    top = max(max(powers) for powers, _ in terms)
+    pw = np.array([[x ** p for x in _SPHERE_AXIS] for p in range(top + 1)])
+    n = len(_SPHERE_AXIS)
+    chunk = max(1, _SWEEP_CHUNK_BYTES // (16 * nvars))
+    for start in range(0, n ** (nvars - 1), chunk):
+        idx = np.arange(start, min(n ** (nvars - 1), start + chunk))
+        rest = [idx // n ** e % n for e in reversed(range(nvars - 1))]
+        for face_var in range(nvars):
+            for sign in (0, n - 1):                     # -1.0 and 1.0
+                xi = rest[:face_var] + [sign] + rest[face_var:]
+                total = np.zeros(len(idx), dtype=complex)
                 for powers, v in terms:
-                    mono = 1.0
+                    mono = np.ones(len(idx))
                     for p, x in zip(powers, xi):
-                        mono *= x ** p
+                        mono = mono * pw[p][x]
                     total += v * mono
-                if abs(total) <= _SYMBOL_TOL:
+                if np.any(np.hypot(total.real, total.imag) <= _SYMBOL_TOL):
                     return False
     return True
 

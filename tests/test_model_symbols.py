@@ -343,6 +343,78 @@ def test_sampled_symbol_ellipticity():
     assert cert2["symbol_check"] == "sampled on the unit sphere"
 
 
+def _scalar_symbol_nonvanishing(sym):
+    """Reference: the sampled check one sphere point at a time."""
+    t = sym.tower
+    nvars = 1 + t.b + t.f[0] + t.f[1]
+    terms = [((mu[0],) + mu[1] + mu[2] + mu[3],
+              sum(complex(v.re, v.im) * ms.TWO_PI ** w
+                  for (n, _, w), v in c.items() if n == 0))
+             for mu, c in sym.terms]
+    for face_var in range(nvars):
+        for sign in (-1.0, 1.0):
+            for rest in itertools.product(ms._SPHERE_AXIS, repeat=nvars - 1):
+                xi = rest[:face_var] + (sign,) + rest[face_var:]
+                total = 0j
+                for powers, v in terms:
+                    mono = 1.0
+                    for p, x in zip(powers, xi):
+                        mono *= x ** p
+                    total += v * mono
+                if abs(total) <= ms._SYMBOL_TOL:
+                    return False
+    return True
+
+
+def _order2_symbol(t, monomials):
+    """Top symbol of sum c * xi_i * xi_j over (i, j, c, xpow, wpow)."""
+    nm = t.b + sum(t.f)
+    terms = {}
+    for i, j, c, xpow, wpow in monomials:
+        e = [0] * (1 + nm)
+        e[i] += 1
+        e[j] += 1
+        cut = (1, 1 + t.b, 1 + t.b + t.f[0])
+        mu = (e[0], tuple(e[cut[0]:cut[1]]), tuple(e[cut[1]:cut[2]]),
+              tuple(e[cut[2]:]))
+        terms[mu] = terms.get(mu, ms.Coeff()) + ms.Coeff(
+            {(xpow, (0,) * nm, wpow): c})
+    return ms.principal_symbol(ms.make_op(t, terms))
+
+
+def test_sampled_symbol_matches_scalar_loop():
+    rng = random.Random(29)
+    towers = [Tower(2, (1, 1, 1), b, f)
+              for b, f in ((0, (0, 1)), (1, (0, 1)), (1, (1, 1)), (0, (2, 1)),
+                           (1, (1, 2)))]
+    syms = []
+    for t in towers:
+        n = 1 + t.b + sum(t.f)
+        for _ in range(6):
+            mons = []
+            if rng.random() < 0.6:      # a positive sum of squares ...
+                mons += [(v, v, cx(rng.randint(1, 3)), 0, rng.randint(0, 1))
+                         for v in range(n)]
+            for _ in range(rng.randint(1, 3)):     # ... plus a cross term
+                i, j = rng.sample(range(n), 2)
+                mons.append((i, j, cx(Fraction(rng.randint(-3, 3), 2),
+                                      Fraction(rng.randint(-2, 2), 2)),
+                             rng.randint(0, 1), rng.randint(0, 1)))
+            syms.append(_order2_symbol(t, mons))
+    t = towers[1]
+    # tau^2 - eta^2 is exactly 0 at the sample point (1, 1, 0)
+    syms.append(_order2_symbol(t, [(0, 0, cx(1), 0, 0),
+                                   (1, 1, cx(-1), 0, 0),
+                                   (2, 2, cx(1), 0, 0)]))
+    # tau^2 - 9 eta^2 is 0 up to rounding at eta = 1/3 (seventh-grid)
+    syms.append(_order2_symbol(t, [(0, 0, cx(1), 0, 0),
+                                   (1, 1, cx(-9), 0, 0),
+                                   (0, 2, cx(0, 1), 0, 0)]))
+    got = [ms._symbol_nonvanishing_sampled(s) for s in syms]
+    assert got == [_scalar_symbol_nonvanishing(s) for s in syms]
+    assert got[-2:] == [False, False] and True in got and False in got[:-2]
+
+
 # --- batched grid sweep against the per-point path ---------------------------
 
 def _per_point_sweep(P, lam, N, radius, step):
