@@ -935,13 +935,13 @@ def _symbol_nonvanishing_sampled(sym: SymbolPoly) -> bool:
     # Python's x ** p, then the point loop's products and sums in order
     top = max(max(powers) for powers, _ in terms)
     pw = np.array([[x ** p for x in _SPHERE_AXIS] for p in range(top + 1)])
-    n = len(_SPHERE_AXIS)
+    n_ax = len(_SPHERE_AXIS)
     chunk = max(1, _SWEEP_CHUNK_BYTES // (16 * nvars))
-    for start in range(0, n ** (nvars - 1), chunk):
-        idx = np.arange(start, min(n ** (nvars - 1), start + chunk))
-        rest = [idx // n ** e % n for e in reversed(range(nvars - 1))]
+    for start in range(0, n_ax ** (nvars - 1), chunk):
+        idx = np.arange(start, min(n_ax ** (nvars - 1), start + chunk))
+        rest = [idx // n_ax ** e % n_ax for e in reversed(range(nvars - 1))]
         for face_var in range(nvars):
-            for sign in (0, n - 1):                     # -1.0 and 1.0
+            for sign in (0, n_ax - 1):                  # -1.0 and 1.0
                 xi = rest[:face_var] + [sign] + rest[face_var:]
                 total = np.zeros(len(idx), dtype=complex)
                 for powers, v in terms:

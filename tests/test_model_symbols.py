@@ -369,12 +369,12 @@ def _scalar_symbol_nonvanishing(sym):
 def _order2_symbol(t, monomials):
     """Top symbol of sum c * xi_i * xi_j over (i, j, c, xpow, wpow)."""
     nm = t.b + sum(t.f)
+    cut = (1, 1 + t.b, 1 + t.b + t.f[0])
     terms = {}
     for i, j, c, xpow, wpow in monomials:
         e = [0] * (1 + nm)
         e[i] += 1
         e[j] += 1
-        cut = (1, 1 + t.b, 1 + t.b + t.f[0])
         mu = (e[0], tuple(e[cut[0]:cut[1]]), tuple(e[cut[1]:cut[2]]),
               tuple(e[cut[2]:]))
         terms[mu] = terms.get(mu, ms.Coeff()) + ms.Coeff(
