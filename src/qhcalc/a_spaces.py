@@ -62,8 +62,12 @@ class Tower:
 
     @staticmethod
     def from_json(data) -> "Tower":
-        return Tower(int(data["k"]), tuple(data["a"]), int(data["b"]),
-                     tuple(data.get("f", [])))
+        k, a, b, f = data["k"], data["a"], data["b"], data.get("f", [])
+        if not all(isinstance(v, list) and all(type(x) is int for x in v)
+                   for v in ([k, b], a, f)):
+            raise TypeError("k and b must be integers, a and f lists of "
+                            "integers")
+        return Tower(k, tuple(a), b, tuple(f))
 
 
 def reduce(t: Tower, l: int) -> Tower:
@@ -185,10 +189,8 @@ def double_face_names(k: int) -> tuple:
 
 @dataclass(frozen=True)
 class ASpaceDouble:
-    tower: Tower
     space: Space
     faces: tuple          # report order: (rf, lf, front faces ...)
-    diag_name: str
     proj_l: BMap
     proj_r: BMap
 
@@ -228,8 +230,7 @@ def double_space(t: Tower) -> ASpaceDouble:
     entries_r = [(g, "bf", space.val(g, ("x", 2))) for g in space.face_names]
     proj_l = bmap_from_entries(space, factor, entries_l)
     proj_r = bmap_from_entries(space, factor, entries_r)
-    return ASpaceDouble(t, space, double_face_names(t.k), "diag",
-                        proj_l, proj_r)
+    return ASpaceDouble(space, double_face_names(t.k), proj_l, proj_r)
 
 
 def double_projections(t: Tower):
@@ -361,11 +362,8 @@ def relabel_seq(seq: BlowupSeq, i: int) -> BlowupSeq:
 
 @dataclass(frozen=True)
 class ASpaceTriple:
-    tower: Tower
-    stage: str
     space: Space                    # symmetric construction
     projections: tuple              # (BMap, BMap, BMap) onto the double space
-    double: ASpaceDouble
 
 
 @lru_cache(maxsize=32)
@@ -384,7 +382,7 @@ def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
     dbl = double_space(dt)
     projections = tuple(_triple_projection(t, stage, i, space, dbl)
                         for i in (1, 2, 3))
-    return ASpaceTriple(t, stage, space, projections, dbl)
+    return ASpaceTriple(space, projections)
 
 
 def _triple_projection(t: Tower, stage: str, i: int, sym_space: Space,
@@ -514,8 +512,8 @@ def canonical_triple() -> ASpaceTriple:
     t, dbl = CANONICAL_TOWER, double_space(CANONICAL_TOWER)
     space, _ = replay(symmetric_triple_seq(t))
     p1 = _triple_projection(t, "z", 1, space, dbl)
-    return ASpaceTriple(t, "z", space, (p1,) + tuple(
-        relabel_projection(p1, i) for i in (2, 3)), dbl)
+    return ASpaceTriple(space, (p1,) + tuple(
+        relabel_projection(p1, i) for i in (2, 3)))
 
 
 def triple_projection_tables() -> tuple:

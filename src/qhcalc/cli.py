@@ -42,14 +42,23 @@ def _read_json(path: str):
             raise UsageError(f"{path} is not JSON: {e}") from None
 
 
-def _load_tower(path: str) -> Tower:
+def _load_object(path: str, what: str, parse,
+                 malformed=(TypeError, ValueError, ZeroDivisionError)):
+    """parse(data) for a JSON object file; bad content is a usage error."""
     data = _read_json(path)
     if not isinstance(data, dict):
-        raise UsageError(f"{path}: a tower config is a JSON object")
+        raise UsageError(f"{path}: {what} is not a JSON object")
     try:
-        return Tower.from_json(data)
+        return parse(data)
     except KeyError as e:
-        raise UsageError(f"{path}: tower config needs key {e}") from None
+        raise UsageError(f"{path}: {what} needs key {e}") from None
+    except malformed as e:
+        raise UsageError(f"{path}: malformed {what}: {e}") from None
+
+
+def _load_tower(path: str) -> Tower:
+    # a well-typed but invalid tower raises ValueError: a domain error
+    return _load_object(path, "tower config", Tower.from_json, TypeError)
 
 
 def _rational(option: str, text: str) -> Fraction:
@@ -66,31 +75,22 @@ def _truncation(args) -> int:
     return args.N
 
 
-def _emit(args, text: str):
-    text = text if text.endswith("\n") else text + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# Each command returns (exit code, report), the report a dict for JSON or
+# a str for text or dot; ``main`` writes it.
 
-
-def cmd_tower_validate(args) -> int:
+def cmd_tower_validate(args):
     t = _load_tower(args.config)
-    report = {"k": t.k, "a": list(t.orders), "b": t.b, "f": list(t.f),
-              "dim": t.dim, "valid": True}
     if args.format == "json":
-        _emit(args, json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _emit(args, f"tower depth {t.k}, orders {t.orders}, "
-                    f"dims (b={t.b}, f={t.f}), total dim {t.dim}: valid")
-    return 0
+        return 0, {"k": t.k, "a": list(t.orders), "b": t.b, "f": list(t.f),
+                   "dim": t.dim, "valid": True}
+    return 0, (f"tower depth {t.k}, orders {t.orders}, "
+               f"dims (b={t.b}, f={t.f}), total dim {t.dim}: valid")
 
 
-def cmd_space_double(args) -> int:
+def cmd_space_double(args):
     t = _load_tower(args.config)
     if args.format == "dot":
-        return _emit_dot(args, t, "double")
+        return 0, _dot(t, "double")
     d = asp.double_space(t)
     pl, pr = d.proj_l, d.proj_r
     faces = d.faces
@@ -101,21 +101,19 @@ def cmd_space_double(args) -> int:
                                  and cs.is_b_fibration(pr)),
             "diagonal_meets": sorted(d.space.psub_meets("diag"))}
     if args.format == "json":
-        _emit(args, json.dumps(data, indent=2, sort_keys=True))
-    else:
-        lines = [f"double space faces: {', '.join(faces)}",
-                 f"left projection exponents:  {data['e_left']}",
-                 f"right projection exponents: {data['e_right']}",
-                 f"projections are b-fibrations: {data['b_fibrations']}",
-                 f"lifted diagonal meets: {', '.join(data['diagonal_meets'])}"]
-        _emit(args, "\n".join(lines))
-    return 0
+        return 0, data
+    return 0, "\n".join([
+        f"double space faces: {', '.join(faces)}",
+        f"left projection exponents:  {data['e_left']}",
+        f"right projection exponents: {data['e_right']}",
+        f"projections are b-fibrations: {data['b_fibrations']}",
+        f"lifted diagonal meets: {', '.join(data['diagonal_meets'])}"])
 
 
-def cmd_space_triple(args) -> int:
+def cmd_space_triple(args):
     t = _load_tower(args.config)
     if args.format == "dot":
-        return _emit_dot(args, t, "triple")
+        return 0, _dot(t, "triple")
     trip = asp.triple_space(t)
     bij = asp.triple_constructions_isomorphic(t)
     data = {"faces": list(trip.space.face_names),
@@ -124,36 +122,29 @@ def cmd_space_triple(args) -> int:
                 bool(cs.is_b_fibration(p)) for p in trip.projections],
             "constructions_isomorphic": bij is not None}
     if args.format == "json":
-        _emit(args, json.dumps(data, indent=2, sort_keys=True))
-    else:
-        lines = [f"triple space: {data['face_count']} boundary hypersurfaces",
-                 "projections are b-fibrations: "
-                 + str(all(data["projections_b_fibrations"])),
-                 "symmetric and commuted constructions isomorphic: "
-                 + str(data["constructions_isomorphic"])]
-        _emit(args, "\n".join(lines))
-    return 0
+        return 0, data
+    return 0, "\n".join([
+        f"triple space: {data['face_count']} boundary hypersurfaces",
+        "projections are b-fibrations: "
+        + str(all(data["projections_b_fibrations"])),
+        "symmetric and commuted constructions isomorphic: "
+        + str(data["constructions_isomorphic"])])
 
 
-def cmd_facemap_verify(args) -> int:
-    t = _load_tower(args.config)
-    rep = asp.verify_facemaps(t)
+def cmd_facemap_verify(args):
+    rep = asp.verify_facemaps(_load_tower(args.config))
+    code = DOMAIN_ERROR if rep["mismatches"] else 0
     if args.format == "json":
-        _emit(args, json.dumps(rep, indent=2, sort_keys=True, default=list))
-    else:
-        _emit(args, f"{rep['tables']} tables, {len(rep['mismatches'])} "
-                    f"mismatches")
-        for m in rep["mismatches"]:
-            _emit(args, f"  stage {m['stage']} projection {m['projection']} "
-                        f"face {m['face']}: got {m['got']}, want {m['want']}")
-    return 0 if not rep["mismatches"] else DOMAIN_ERROR
+        return code, rep
+    return code, "\n".join(
+        [f"{rep['tables']} tables, {len(rep['mismatches'])} mismatches"]
+        + [f"  stage {m['stage']} projection {m['projection']} "
+           f"face {m['face']}: got {m['got']}, want {m['want']}"
+           for m in rep["mismatches"]])
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args):
     t = _load_tower(args.config)
-    if t.k != 2:
-        print("weight tables need tower depth 2", file=sys.stderr)
-        return DOMAIN_ERROR
     gam = dn.gamma(t)
     dw = dn.double_weights(t)
     tw = dn.triple_weights(t)
@@ -174,19 +165,16 @@ def cmd_weights(args) -> int:
                 "signs",
             "composition_sweep": sweep}
     if args.format == "json":
-        _emit(args, json.dumps(data, indent=2, sort_keys=True))
-    else:
-        lines = [f"gamma weights: {', '.join(data['gamma'])}",
-                 f"double space w_a0:    {data['double']['w_a0']}",
-                 f"double space w_a:     {data['double']['w_a']}",
-                 f"double space w_tilde: {data['double']['w_tilde']}",
-                 f"triple space W_a0: {data['triple']['W_a0']}",
-                 dn.weight_discrepancy_report(t),
-                 f"composition sweep: {sweep['checked']} random families, "
-                 f"{sweep['failures']} closed-form mismatches "
-                 f"(seed {args.seed})"]
-        _emit(args, "\n".join(lines))
-    return 0
+        return 0, data
+    return 0, "\n".join([
+        f"gamma weights: {', '.join(data['gamma'])}",
+        f"double space w_a0:    {data['double']['w_a0']}",
+        f"double space w_a:     {data['double']['w_a']}",
+        f"double space w_tilde: {data['double']['w_tilde']}",
+        f"triple space W_a0: {data['triple']['W_a0']}",
+        dn.weight_discrepancy_report(t),
+        f"composition sweep: {sweep['checked']} random families, "
+        f"{sweep['failures']} closed-form mismatches (seed {args.seed})"])
 
 
 def _weight_sweep(t: Tower, rng: random.Random, count: int) -> dict:
@@ -214,62 +202,54 @@ def _weight_sweep(t: Tower, rng: random.Random, count: int) -> dict:
 
 
 def _load_class(t: Tower, path: str) -> oc.OperatorClass:
-    return oc.class_from_json(t, _read_json(path))
+    return _load_object(path, "operator class",
+                        lambda data: oc.class_from_json(t, data))
 
 
-def cmd_compose(args) -> int:
+def cmd_compose(args):
     t = _load_tower(args.config)
     P = _load_class(t, args.P)
     Q = _load_class(t, args.Q)
     try:
         R = oc.compose(P, Q)
     except oc.NonIntegrable as e:
-        print(f"composition not integrable at: {', '.join(e.faces)}",
-              file=sys.stderr)
-        return DOMAIN_ERROR
+        raise ValueError("composition not integrable at: "
+                         + ", ".join(e.faces)) from None
     out = oc.class_to_json(R)
     out["ff_z_closed_form"] = ia.indexset_to_json(oc.ffz_closed_form(P, Q))
-    _emit(args, json.dumps(out, indent=2, sort_keys=True))
-    return 0
+    return 0, out
 
 
-def cmd_act(args) -> int:
+def cmd_act(args):
     t = _load_tower(args.config)
     P = _load_class(t, args.P)
-    data = _read_json(args.I)
-    if not isinstance(data, dict) or "set" not in data:
-        raise UsageError(f"{args.I}: an index set file is a JSON object "
-                         "with key 'set'")
-    I = ia.indexset_from_json(data["set"])
+    I = _load_object(args.I, "index set file",
+                     lambda data: ia.indexset_from_json(data["set"]))
     try:
         out = oc.act(P, I)
     except oc.NonIntegrable as e:
-        print(f"action not integrable at: {', '.join(e.faces)}",
-              file=sys.stderr)
-        return DOMAIN_ERROR
-    _emit(args, json.dumps({"set": ia.indexset_to_json(out)}, indent=2))
-    return 0
+        raise ValueError("action not integrable at: "
+                         + ", ".join(e.faces)) from None
+    return 0, {"set": ia.indexset_to_json(out)}
 
 
-def cmd_parametrix(args) -> int:
+def cmd_parametrix(args):
     t = _load_tower(args.config)
     m = _rational("-m", args.m)
     led = oc.parametrix_ledger(t, m)
     ok = led.verify()
-    data = {"order": str(m), "verified": ok,
-            "steps": oc.ledger_to_json(led)}
+    code = 0 if ok else DOMAIN_ERROR
     if args.format == "json":
-        _emit(args, json.dumps(data, indent=2, sort_keys=True))
-    else:
-        lines = [f"parametrix ledger for order {args.m}: "
-                 f"{'verified' if ok else 'FAILED'}"]
-        for i, st in enumerate(led.steps, 1):
-            lines.append(f"  step {i}: {st.description}")
-            lines.append(f"    rule: {st.rule}; output: {st.output}")
-            for okc, what in st.checks:
-                lines.append(f"    check [{'ok' if okc else 'FAIL'}] {what}")
-        _emit(args, "\n".join(lines))
-    return 0 if ok else DOMAIN_ERROR
+        return code, {"order": str(m), "verified": ok,
+                      "steps": oc.ledger_to_json(led)}
+    lines = [f"parametrix ledger for order {args.m}: "
+             f"{'verified' if ok else 'FAILED'}"]
+    for i, st in enumerate(led.steps, 1):
+        lines.append(f"  step {i}: {st.description}")
+        lines.append(f"    rule: {st.rule}; output: {st.output}")
+        for okc, what in st.checks:
+            lines.append(f"    check [{'ok' if okc else 'FAIL'}] {what}")
+    return code, "\n".join(lines)
 
 
 def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
@@ -310,7 +290,7 @@ def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
     return ms.make_op(t, terms)
 
 
-def cmd_normal_family(args) -> int:
+def cmd_normal_family(args):
     from . import model_symbols as ms
     t = _load_tower(args.config)
     if args.operator:
@@ -330,10 +310,8 @@ def cmd_normal_family(args) -> int:
                             for k, vv in sorted(v.items())}
         else:
             entries[key] = [f"{v.real:.17g}", f"{v.imag:.17g}"]
-    data = {"dim": M.dim(), "exact": M.exact, "diagonal": M.is_diagonal(),
-            "entries": entries}
-    _emit(args, json.dumps(data, indent=2, sort_keys=True))
-    return 0
+    return 0, {"dim": M.dim(), "exact": M.exact,
+               "diagonal": M.is_diagonal(), "entries": entries}
 
 
 def parse_lambda(text: str):
@@ -363,7 +341,7 @@ def parse_lambda(text: str):
     return re0, re2, im
 
 
-def cmd_resolvent_check(args) -> int:
+def cmd_resolvent_check(args):
     from . import model_symbols as ms
     t = _load_tower(args.config)
     try:
@@ -377,30 +355,28 @@ def cmd_resolvent_check(args) -> int:
     r = ms.resolvent_model_check(t, re0, re2, im, N=_truncation(args),
                                  radius=radius, step=step)
     if r["invertible"]:
-        _emit(args, f"fully elliptic; margin {r['margin']:.12g}")
-        return 0
+        return 0, f"fully elliptic; margin {r['margin']:.12g}"
     w = r["witness"]
     reason = ("margin below spectral distance" if "margin" in r else
               "spectral parameter on the real half-line [0, inf); no "
               "witness mode within the truncation and grid")
-    _emit(args, "rejected: spectral parameter on the model spectrum; "
-                f"witness |mu|^2 = {w['mu_norm_sq']}, "
-                f"|k|^2 = {w['k_norm_sq']}" if w else f"rejected: {reason}")
-    return DOMAIN_ERROR
+    return DOMAIN_ERROR, (
+        "rejected: spectral parameter on the model spectrum; "
+        f"witness |mu|^2 = {w['mu_norm_sq']}, |k|^2 = {w['k_norm_sq']}"
+        if w else f"rejected: {reason}")
 
 
-def _emit_dot(args, t: Tower, which: str) -> int:
+def _dot(t: Tower, which: str) -> str:
     """Face lattice; the triple space is its symmetric replay alone."""
     if which == "double":
         space = asp.double_space(t).space
     else:
         space, _ = cs.replay(asp.symmetric_triple_seq(t))
-    _emit(args, cs.export_dot(space, f"{which} space"))
-    return 0
+    return cs.export_dot(space, f"{which} space")
 
 
-def cmd_export_dot(args) -> int:
-    return _emit_dot(args, _load_tower(args.config), args.space)
+def cmd_export_dot(args):
+    return 0, _dot(_load_tower(args.config), args.space)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,37 +386,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "and multi-fibred boundary operator classes")
     sub = ap.add_subparsers(dest="command")
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("-c", "--config", required=True,
-                           help="tower config JSON")
-        p.add_argument("--format", choices=["text", "json", "dot"],
-                       default="text")
+    def common(p, formats=()):
+        """Config and output options; --format only where it is written."""
+        p.add_argument("-c", "--config", required=True,
+                       help="tower config JSON")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("-o", "--output", help="write the report here")
 
     p = sub.add_parser("tower", help="tower configuration commands")
     tsub = p.add_subparsers(dest="tower_cmd")
     pv = tsub.add_parser("validate")
-    common(pv)
+    common(pv, ("text", "json"))
     pv.set_defaults(func=cmd_tower_validate)
 
     p = sub.add_parser("space", help="space constructions")
     ssub = p.add_subparsers(dest="space_cmd")
     pd = ssub.add_parser("double")
-    common(pd)
+    common(pd, ("text", "json", "dot"))
     pd.set_defaults(func=cmd_space_double)
     pt = ssub.add_parser("triple")
-    common(pt)
+    common(pt, ("text", "json", "dot"))
     pt.set_defaults(func=cmd_space_triple)
 
     p = sub.add_parser("facemap", help="face table verification")
     fsub = p.add_subparsers(dest="facemap_cmd")
     pf = fsub.add_parser("verify")
-    common(pf)
+    common(pf, ("text", "json"))
     pf.set_defaults(func=cmd_facemap_verify)
 
     p = sub.add_parser("weights", help="density weight tables and sweep")
-    common(p)
+    common(p, ("text", "json"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep", type=int, default=25)
     p.set_defaults(func=cmd_weights)
@@ -458,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("parametrix", help="remainder ledger")
-    common(p)
+    common(p, ("text", "json"))
     p.add_argument("-m", default="2")
     p.set_defaults(func=cmd_parametrix)
 
@@ -493,8 +469,8 @@ def main(argv=None) -> int:
         ap.print_help()
         return USAGE_ERROR
     try:
-        return func(args)
-    except FileNotFoundError as e:
+        code, report = func(args)
+    except OSError as e:
         print(f"cannot read {e.filename}", file=sys.stderr)
         return USAGE_ERROR
     except UsageError as e:
@@ -503,6 +479,19 @@ def main(argv=None) -> int:
     except (ValueError, cs.BlowupError, cs.RewriteError) as e:
         print(str(e), file=sys.stderr)
         return DOMAIN_ERROR
+    if not isinstance(report, str):
+        report = json.dumps(report, indent=2, sort_keys=True)
+    text = report if report.endswith("\n") else report + "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"cannot write {args.output}: {e.strerror}", file=sys.stderr)
+        return USAGE_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -363,7 +363,7 @@ class Space:
     n_factors: int
     dims: tuple                    # ((level, dim), ...), level -1 first
     faces: tuple
-    strata: frozenset              # maximal jointly-meeting face-name sets
+    strata: frozenset              # maximal jointly-meeting face bitmasks
     diag_meets: tuple              # (((factors, level), face-set), ...)
     registry: tuple                # ((name, PSub), ...)
     history: tuple = ()
@@ -371,7 +371,6 @@ class Space:
     _dims: dict = field(init=False, repr=False, compare=False)
     _tracked: dict = field(init=False, repr=False, compare=False)
     _registered: dict = field(init=False, repr=False, compare=False)
-    _strata: tuple = field(init=False, repr=False, compare=False)
     _gt: dict = field(init=False, repr=False, compare=False)
     _hist: tuple = field(init=False, repr=False, compare=False)
     _memo: Optional[dict] = field(init=False, repr=False, compare=False)
@@ -383,7 +382,6 @@ class Space:
         set_("_tracked", dict(self.diag_meets))
         set_("_registered", dict(self.registry))
         set_("_memo", None)
-        set_("_strata", tuple(self._mask(m) for m in self.strata))
         # (i, j) -> faces where x_i vanishes to higher order than x_j
         set_("_gt", {(i, j): sum(1 << k for k, f in enumerate(self.faces)
                                  if f.val(("x", i)) > f.val(("x", j)))
@@ -426,7 +424,7 @@ class Space:
             s = self._mask(face_names)
         except KeyError:
             return False
-        return any(s & m == s for m in self._strata)
+        return any(s & m == s for m in self.strata)
 
     def registered(self, name: str) -> PSub:
         return self._registered[name]
@@ -434,7 +432,7 @@ class Space:
     @_memoized
     def _nbr(self, mask: int) -> int:
         out = 0
-        for m in self._strata:
+        for m in self.strata:
             if m & mask == mask:
                 out |= m
         return out & ~mask
@@ -726,7 +724,7 @@ def product_space(n_factors: int, dims, name: str = "",
     faces = tuple(
         Face(fn, -1, 0, ((("x", i), 1),), Merge.trivial())
         for i, fn in enumerate(face_names, start=1))
-    strata = frozenset({frozenset(face_names)})
+    strata = frozenset({(1 << n_factors) - 1})
     levels = [l for l, _ in all_dims]
     dmeets = []
     for r in range(2, n_factors + 1):
@@ -818,12 +816,12 @@ def _all_symbols(space: Space):
     return syms
 
 
-def _new_strata(space: Space, center: Locus, ff_name: str) -> frozenset:
-    """Strata after blowing up the center, as sets of face names."""
+def _new_strata(space: Space, center: Locus) -> frozenset:
+    """Strata after blowing up the center; the front face is the next bit."""
     cmask = space._mask(center.faces)
     ff = 1 << len(space.faces)
     all_old = set()                # every subset of an old stratum
-    for m in space._strata:
+    for m in space.strata:
         sub = m
         while True:
             all_old.add(sub)
@@ -831,11 +829,11 @@ def _new_strata(space: Space, center: Locus, ff_name: str) -> frozenset:
                 break
             sub = (sub - 1) & m
     if center.is_corner:
-        new = {m for m in space._strata if m & cmask != cmask}
+        new = {m for m in space.strata if m & cmask != cmask}
         new.update(b | ff for b in all_old
                    if b | cmask in all_old and b & cmask != cmask)
     else:
-        new = set(space._strata)
+        new = set(space.strata)
         for tot in {b | cmask for b in all_old} & all_old:
             if not space.disjoint(center,
                                   Locus(frozenset(space._names(tot)))):
@@ -844,10 +842,7 @@ def _new_strata(space: Space, center: Locus, ff_name: str) -> frozenset:
     for s in sorted(new, key=int.bit_count, reverse=True):
         if not any(s & t == s for t in maximal):
             maximal.append(s)
-    kept = dict(zip(space._strata, space.strata))  # shared with the old space
-    names = space.face_names + (ff_name,)
-    return frozenset(kept.get(s) or frozenset(
-        f for k, f in enumerate(names) if s >> k & 1) for s in maximal)
+    return frozenset(maximal)
 
 
 @_memo_scope
@@ -906,7 +901,7 @@ def blowup(space: Space, center, a: int, label: str = ""):
     ff = Face(label, len(space.history), a, tuple(vals),
               merged_of_new_face(space, c), c)
 
-    strata = _new_strata(space, c, label)
+    strata = _new_strata(space, c)
 
     new_dmeets = []
     for key, ms in space.diag_meets:

@@ -52,7 +52,7 @@ def double_weights(t: Tower) -> DoubleWeights:
     is -gamma_k on rf and lf and gamma_j - 2 gamma_k on ff_j.
     """
     if t.k != 2:
-        raise ValueError("double weights are tabulated for depth 2")
+        raise ValueError("weight tables need tower depth 2")
     g = (0,) + gamma(t)
     ffs = asp.double_face_names(t.k)[2:]
     w_a0 = WeightVector(dict(zip(ffs, g)))

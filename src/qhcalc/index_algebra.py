@@ -458,8 +458,11 @@ def indexset_to_json(G: IndexSet) -> list:
 
 
 def indexset_from_json(data) -> IndexSet:
-    return normalize(IndexTerm(cx(Fraction(re), Fraction(im)), int(p))
-                     for re, im, p in data)
+    """[[re, im, p], ...] with exact rational parts and integer p."""
+    if not isinstance(data, list) or any(type(p) is not int
+                                         for _, _, p in data):
+        raise TypeError("an index set is a list of [re, im, p], p an integer")
+    return normalize(IndexTerm(cx(re, im), p) for re, im, p in data)
 
 
 def family_to_json(E: IndexFamily) -> dict:

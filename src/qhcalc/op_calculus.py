@@ -224,7 +224,8 @@ class Ledger:
     steps: tuple
 
     def verify(self) -> bool:
-        """Re-run every recorded composition check."""
+        """True when every check recorded at construction passed; reads
+        the stored verdicts and re-runs nothing."""
         for st in self.steps:
             for chk in st.checks:
                 if not chk[0]:
@@ -349,9 +350,12 @@ def class_to_json(P: OperatorClass) -> dict:
 
 
 def class_from_json(t: Tower, data) -> OperatorClass:
-    order = NEG_INF if data.get("order") is None else Fraction(data["order"])
-    fam = ia.family_from_json(DOUBLE_FACES, data.get("family", {}))
-    return OperatorClass(order, fam, t)
+    order = (NEG_INF if data.get("order") is None
+             else ia._as_fraction(data["order"]))
+    fam = data.get("family", {})
+    if not isinstance(fam, dict):
+        raise TypeError("an operator class family is a JSON object")
+    return OperatorClass(order, ia.family_from_json(DOUBLE_FACES, fam), t)
 
 
 def ledger_to_json(led: Ledger) -> list:

@@ -1,5 +1,6 @@
 """Front-end behavior: exit codes, determinism, serialization."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -34,6 +35,16 @@ def test_tower_validate(tower_file, capsys):
 
 def test_missing_config_is_usage_error(tmp_path):
     assert run(["tower", "validate", "-c", str(tmp_path / "nope.json")]) == 2
+
+
+def test_unreadable_config_or_unwritable_output_is_usage_error(
+        tower_file, tmp_path, capsys):
+    for args in (["-c", str(tmp_path)],
+                 ["-c", tower_file, "-o", str(tmp_path / "no" / "out")],
+                 ["-c", tower_file, "-o", str(tmp_path)]):
+        assert run(["tower", "validate"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
 
 
 def test_space_double_deterministic(tower_file, capsys):
@@ -348,6 +359,129 @@ def test_operator_shape_mismatch_is_domain_error(tower_file, tmp_path,
         assert run(["normal-family", "-c", tower_file, "-O", str(op)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and what in err
+
+
+_TOWER = {"k": 2, "a": [1, 1, 1], "b": 1, "f": [1, 1]}
+
+
+@pytest.mark.parametrize("fields", [
+    {"a": 5}, {"b": [1]}, {"a": [1, None, 1]}, {"f": 3},
+    {"a": [1, 1.5, 1], "b": 1.7}, {"k": "2"}, {"k": True}],
+    ids=["a-not-a-list", "b-a-list", "a-null-entry", "f-not-a-list",
+         "non-integer-entries", "k-a-string", "k-a-boolean"])
+def test_tower_with_wrong_types_is_usage_error(fields, tmp_path, capsys):
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps(dict(_TOWER, **fields)))
+    err = _one_line_usage_error(["tower", "validate", "-c", str(p)], capsys)
+    assert err.startswith(f"{p}: ")
+
+
+def test_well_typed_invalid_tower_is_domain_error(tmp_path, capsys):
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps(dict(_TOWER, a=[1, 0, 1])))
+    assert run(["tower", "validate", "-c", str(p)]) == 1
+    assert capsys.readouterr().err == "orders must be positive integers\n"
+
+
+def _class_with(entry):
+    return {"order": "0", "family": {"ff_z": [entry]}}
+
+
+@pytest.mark.parametrize("data", [
+    [3], {"family": [1]}, {"family": {"rf": 5}}, {"order": "x"},
+    {"order": 0.1},
+    _class_with(["1/0", "0", 0]), _class_with(["a", "0", 0]),
+    _class_with(["1", "0"]), _class_with(["1", "0", 1.5]),
+    _class_with([0.5, "0", 0]), _class_with(["1", "0", -1])],
+    ids=["not-an-object", "family-a-list", "face-not-a-list", "bad-order",
+         "float-order", "zero-denominator", "re-not-rational", "short-entry",
+         "non-integer-log-power", "float-re", "negative-log-power"])
+@pytest.mark.parametrize("command", ["compose", "act"])
+def test_malformed_class_file_is_usage_error(data, command, tower_file,
+                                             tmp_path, capsys):
+    t = Tower(2, (1, 1, 1), 1, (1, 1))
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(data))
+    good.write_text(json.dumps(oc.class_to_json(oc.small(t, 0, 0))))
+    i = tmp_path / "i.json"
+    i.write_text(json.dumps({"set": [["0/1", "0/1", 0]]}))
+    second = ["-Q", str(good)] if command == "compose" else ["-I", str(i)]
+    err = _one_line_usage_error(
+        [command, "-c", tower_file, "-P", str(bad)] + second, capsys)
+    assert err.startswith(f"{bad}: ")
+
+
+@pytest.mark.parametrize("data", [
+    [["0", "0", 0]], {"set": 5}, {"set": {"a": 1}}, {"set": [["1/0", 0, 0]]},
+    {"set": [["a", "0", 0]]}, {"set": [3]}, {"set": [["1", "0", "1"]]}],
+    ids=["not-an-object", "set-a-number", "set-an-object",
+         "zero-denominator", "re-not-rational", "entry-a-number",
+         "log-power-a-string"])
+def test_malformed_index_set_file_is_usage_error(data, tower_file, tmp_path,
+                                                 capsys):
+    t = Tower(2, (1, 1, 1), 1, (1, 1))
+    p, i = tmp_path / "p.json", tmp_path / "i.json"
+    p.write_text(json.dumps(oc.class_to_json(oc.small(t, 0, 0))))
+    i.write_text(json.dumps(data))
+    err = _one_line_usage_error(
+        ["act", "-c", tower_file, "-P", str(p), "-I", str(i)], capsys)
+    assert err.startswith(f"{i}: ")
+
+
+def test_facemap_verify_writes_every_mismatch_to_the_output(
+        tower_file, tmp_path, monkeypatch, capsys):
+    rep = {"tables": 9, "mismatches": [
+        {"stage": "x", "projection": 1, "face": "lf", "got": ("a",),
+         "want": ("b",)},
+        {"stage": "z", "projection": 3, "face": "rf", "got": (),
+         "want": ("c", "d")}]}
+    monkeypatch.setattr(asp, "verify_facemaps", lambda t: rep)
+    out = tmp_path / "report.txt"
+    assert run(["facemap", "verify", "-c", tower_file, "-o", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == (
+        "9 tables, 2 mismatches\n"
+        "  stage x projection 1 face lf: got ('a',), want ('b',)\n"
+        "  stage z projection 3 face rf: got (), want ('c', 'd')\n")
+
+
+# the formats each command writes; a command not listed takes no --format
+FORMATS = {
+    ("tower", "validate"): ["text", "json"],
+    ("space", "double"): ["text", "json", "dot"],
+    ("space", "triple"): ["text", "json", "dot"],
+    ("facemap", "verify"): ["text", "json"],
+    ("weights",): ["text", "json"],
+    ("parametrix",): ["text", "json"],
+}
+
+
+def _subcommands(parser, path=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _subcommands(sub, path + (name,))
+
+
+def test_format_choices_are_the_formats_each_command_writes():
+    got = {}
+    for path, parser in _subcommands(cli.build_parser()):
+        opts = [a for a in parser._actions if "--format" in a.option_strings]
+        got[path] = list(opts[0].choices) if opts else None
+    assert len(got) == 11
+    assert {p: c for p, c in got.items() if c is not None} == FORMATS
+
+
+def test_format_on_a_command_without_formats_is_usage_error(tower_file,
+                                                            capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["compose", "-c", tower_file, "-P", "p.json", "-Q", "q.json",
+             "--format", "text"])
+    assert e.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def _python(*args):

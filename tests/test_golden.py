@@ -172,7 +172,7 @@ def _space_state(S: cs.Space) -> dict:
     return {
         "faces": [[f.name, f.step, f.order, _plain(f.v), _plain(f.merged),
                    _plain(f.center)] for f in S.faces],
-        "strata": _plain(S.strata),
+        "strata": _plain({frozenset(S._names(m)) for m in S.strata}),
         "diag_meets": _plain(S.diag_meets),
         "registry": [[n, _plain(p.locus), _plain(p.order)]
                      for n, p in S.registry],
@@ -196,7 +196,8 @@ def _engine_state(tower: str) -> str:
     return "".join(json.dumps(x, sort_keys=True) + "\n" for x in lines)
 
 
-def _run(tower: str, command: str, tmp: pathlib.Path):
+def _main(tower: str, command: str, tmp: pathlib.Path, extra=()):
+    """(exit code, stdout, stderr) of one golden command."""
     cfg = tmp / f"{tower}.json"
     cfg.write_text(json.dumps(TOWERS[tower]))
     inputs = dict(INPUTS, **{"Op.json": _operator(TOWERS[tower])})
@@ -212,9 +213,13 @@ def _run(tower: str, command: str, tmp: pathlib.Path):
             argv.pop()
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv + ["-c", str(cfg)])
-    text = f"exit {code}\n" + out.getvalue()
-    return text + (f"stderr: {err.getvalue()}" if err.getvalue() else "")
+        code = cli.main(argv + ["-c", str(cfg), *extra])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(tower: str, command: str, tmp: pathlib.Path) -> str:
+    code, out, err = _main(tower, command, tmp)
+    return f"exit {code}\n{out}" + (f"stderr: {err}" if err else "")
 
 
 def _demo(name: str) -> str:
@@ -230,6 +235,18 @@ def _demo(name: str) -> str:
 def test_golden(tower, command, tmp_path):
     want = (GOLDEN / f"{tower}__{command}.txt").read_text()
     assert _run(tower, command, tmp_path) == want
+
+
+@pytest.mark.parametrize("tower,command", CASES,
+                         ids=[f"{t}-{c}" for t, c in CASES])
+def test_golden_output_file(tower, command, tmp_path):
+    # -o takes the whole report, byte for byte, and leaves stdout empty
+    report = tmp_path / "report.out"
+    code, out, err = _main(tower, command, tmp_path, ["-o", str(report)])
+    assert out == ""
+    written = report.read_text() if report.exists() else ""
+    want = f"exit {code}\n{written}" + (f"stderr: {err}" if err else "")
+    assert want == (GOLDEN / f"{tower}__{command}.txt").read_text()
 
 
 @pytest.mark.parametrize("tower", TOWERS)
