@@ -69,10 +69,10 @@ def _rational(option: str, text: str) -> Fraction:
             from None
 
 
-def _truncation(args) -> int:
-    if args.N < 0:
-        raise UsageError(f"--N must be nonnegative, got {args.N}")
-    return args.N
+def _nonnegative(option: str, value: int) -> int:
+    if value < 0:
+        raise UsageError(f"{option} must be nonnegative, got {value}")
+    return value
 
 
 # Each command returns (exit code, report), the report a dict for JSON or
@@ -145,11 +145,12 @@ def cmd_facemap_verify(args):
 
 def cmd_weights(args):
     t = _load_tower(args.config)
+    count = _nonnegative("--sweep", args.sweep)
     gam = dn.gamma(t)
     dw = dn.double_weights(t)
     tw = dn.triple_weights(t)
     rng = random.Random(args.seed)
-    sweep = _weight_sweep(t, rng, args.sweep)
+    sweep = _weight_sweep(t, rng, count)
     data = {"gamma": [str(g) for g in gam],
             "double": {"w_a0": ia.weights_to_json(dw.w_a0),
                        "w_a": ia.weights_to_json(dw.w_a),
@@ -267,10 +268,12 @@ def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
             raise UsageError(f"{path}: each term and its 'coeff' is a JSON "
                              "object")
         try:
-            mu = (int(item.get("alpha", 0)),
-                  tuple(item.get("I", [0] * b)),
+            mu = (item.get("alpha", 0), tuple(item.get("I", [0] * b)),
                   tuple(item.get("J", [0] * f1)),
                   tuple(item.get("K", [0] * f2)))
+            if any(type(e) is not int       # bools and floats included
+                   for e in (mu[0], *mu[1], *mu[2], *mu[3])):
+                raise TypeError(f"multi-index {mu} is not all integers")
             xp = spec.get("x_poly", [[0, "1", "0"]])
             trig = spec.get("trig", [{"modes": [0] * nm, "re": "1",
                                       "im": "0"}])
@@ -301,7 +304,7 @@ def cmd_normal_family(args):
         args.point.split(",") if args.point else ["0"] * (t.b + t.f[0])))
     mu = tuple(_rational("--mu", x) for x in (
         args.mu.split(",") if args.mu else ["0"] * (1 + t.b + t.f[0])))
-    M = ms.normal_family_matrix(P, point, mu, _truncation(args))
+    M = ms.normal_family_matrix(P, point, mu, _nonnegative("--N", args.N))
     entries = {}
     for (r, c), v in sorted(M.entries.items(), key=repr):
         key = f"{list(r)}|{list(c)}"
@@ -352,7 +355,8 @@ def cmd_resolvent_check(args):
     step = _rational("--step", args.step)
     if step <= 0 or radius < 0:
         raise UsageError("--step must be positive and --radius nonnegative")
-    r = ms.resolvent_model_check(t, re0, re2, im, N=_truncation(args),
+    r = ms.resolvent_model_check(t, re0, re2, im,
+                                 N=_nonnegative("--N", args.N),
                                  radius=radius, step=step)
     if r["invertible"]:
         return 0, f"fully elliptic; margin {r['margin']:.12g}"

@@ -41,12 +41,13 @@ A `BMap` stores its exponent matrix by rows, each domain face mapped to
 its ((codomain face, e), ...) nonzeros, so an entry or a face image
 reads one row and composition joins rows.
 
-Memo scope.  `canon_merge`, `_closure` and `neighborhood` are pure,
-and are memoized, one dict per method, inside a scope that `blowup`,
+Memo scope.  `canon_merge`, `_closure`, `_reach`, `neighborhood` and
+the rate system of each (face set, level -1 blocks) are pure, and are
+memoized, one dict per method, inside a scope that `blowup`,
 `Space.disjoint` or `Space.psub_meets` opens on its space; nested scopes
 share it and it is dropped when the outermost returns (a memo kept as
 long as its space would live in the replay cache with it).  Certificates
-test merge data before face closures, so few lookups reach a closure.
+test merge data and reach bitmasks first, so few lookups reach a closure.
 """
 
 from __future__ import annotations
@@ -440,16 +441,31 @@ class Space:
     def neighborhood(self, face_names) -> list:
         return self._names(self._nbr(self._mask(face_names)))
 
+    @_memoized
+    def _reach(self, mask: int) -> int:
+        """Bound on the `_closure` of every locus on these faces.
+
+        The pair rule adds faces of `_nbr(cl)`, inside `_nbr(mask)`; the
+        history rule adds front faces whose centers are inside, and a
+        center names only earlier faces, so one forward pass suffices.
+        """
+        out = mask | self._nbr(mask)
+        for bit, cmask, _ in self._hist:
+            if cmask & out == cmask:
+                out |= bit
+        return out
+
     # -- rate feasibility ------------------------------------------------
 
-    def rates_feasible(self, required, optional, merge: Merge) -> bool:
+    def rates_feasible(self, required, optional, blocks) -> bool:
         """Can the required faces vanish jointly at positive rates while
-        merged boundary coordinates keep equal rates?  Infeasibility
-        proves the region empty; feasibility proves nothing."""
+        the boundary coordinates of each level -1 block keep equal rates?
+        Only a merge's `at(-1)` enters the system.  Infeasibility proves
+        the region empty; feasibility proves nothing."""
         supp = list(dict.fromkeys(list(required) + list(optional)))
         n, req = len(supp), set(required)
         rows = [_unit_row(n, k, -(f in req)) for k, f in enumerate(supp)]
-        for block in merge.at(-1):
+        for block in blocks:
             i0, *rest = sorted(block)
             for i in rest:
                 row = [self.val(f, ("x", i)) - self.val(f, ("x", i0))
@@ -543,8 +559,13 @@ class Space:
         # rate balance only for the locus's own diagonal constraints:
         # face-inherited merges do not force equal leading orders at the
         # face's deeper strata
-        req = sorted(locus.faces)
-        return self.rates_feasible(req, self.neighborhood(req), locus.merge)
+        return self._rates_on((locus.faces, m.at(-1)))
+
+    @_memoized
+    def _rates_on(self, key) -> bool:
+        """`rates_feasible` of a (faces, level -1 blocks) key."""
+        req = sorted(key[0])
+        return self.rates_feasible(req, self.neighborhood(req), key[1])
 
     def _fibre_witness(self, C: Locus, forced, hstar, joint: Locus) -> bool:
         """Search for a front-face fibre point of both cones.
@@ -582,13 +603,17 @@ class Space:
         neither locus swallowed whole), every interior direction of the
         center to be pinned by the joint merge data, and no fibre point
         of both cones to survive over the front face.  The conditions
-        are pure, so they run cheapest first: labels, merges, the joint
-        closure, then the closure of each locus and the fibre witness.
+        are pure, so they run cheapest first: labels, merges, the reach
+        of the joint faces (a bitmask bound on the joint closure), the
+        joint closure, then each locus's closure and the fibre witness.
         """
         C = step.center
         if step.label in t1.faces or step.label in t2.faces:
             return False
         if not C.merge.leq(self.canon_merge(t1).join(self.canon_merge(t2))):
+            return False
+        cmask = self._mask(C.faces)
+        if cmask & ~self._reach(self._mask(t1.faces | t2.faces)):
             return False
         joint = Locus(t1.faces | t2.faces, t1.merge.join(t2.merge),
                       t1.pure and t2.pure)
@@ -610,7 +635,12 @@ class Space:
                       t1.pure and t2.pure)
         if not self.locus_nonempty_certificate(joint):
             return True
-        return any(self.separated_by(t1, t2, st) for st in self.history)
+        # only steps that `separated_by` does not reject by label or reach
+        fm = self._mask(joint.faces)
+        reach = self._reach(fm)
+        return any(self.separated_by(t1, t2, st)
+                   for st, (bit, cmask, _) in zip(self.history, self._hist)
+                   if not bit & fm and not cmask & ~reach)
 
     @_memo_scope
     def psub_meets(self, name: str) -> frozenset:
@@ -903,11 +933,16 @@ def blowup(space: Space, center, a: int, label: str = ""):
 
     strata = _new_strata(space, c)
 
+    # faces whose reach holds the center: only they can be separated
+    cmask = space._mask(c.faces)
+    separable = {f.name: Locus(frozenset({f.name}))
+                 for k, f in enumerate(space.faces)
+                 if not cmask & ~space._reach(1 << k)}
     new_dmeets = []
     for key, ms in space.diag_meets:
         dloc = _tracked_diag(key)
-        out = {h for h in ms
-               if not space.separated_by(dloc, Locus(frozenset({h})), step)}
+        out = {h for h in ms if h not in separable
+               or not space.separated_by(dloc, separable[h], step)}
         if c.faces <= ms and not space.disjoint(dloc, c):
             out.add(label)
         new_dmeets.append((key, frozenset(out)))

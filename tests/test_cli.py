@@ -338,6 +338,26 @@ def test_malformed_operator_term_is_usage_error(term, tower_file, tmp_path,
     assert "term 0 is malformed" in err
 
 
+@pytest.mark.parametrize("term", [
+    {"alpha": 2.7}, {"alpha": True}, {"alpha": 2, "K": [1.5, 0]},
+    {"I": ["1"]}],
+    ids=["alpha-float", "alpha-bool", "K-float", "I-string"])
+def test_non_integer_multi_index_is_usage_error(term, tower_file, tmp_path,
+                                                capsys):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"terms": [term]}))
+    err = _one_line_usage_error(["normal-family", "-c", tower_file, "-O",
+                                 str(op), "--N", "1", "--mu", "1,0,0"],
+                                capsys)
+    assert err.startswith(f"{op}: term 0 ") and "integers" in err
+
+
+def test_negative_sweep_is_usage_error(tower_file, capsys):
+    err = _one_line_usage_error(["weights", "-c", tower_file, "--sweep",
+                                 "-3"], capsys)
+    assert "--sweep" in err
+
+
 def test_bad_point_mu_or_truncation_is_usage_error(tower_file, capsys):
     for opt, value in (("--point", "1/3,x"), ("--mu", "1,0,1/0")):
         err = _one_line_usage_error(["normal-family", "-c", tower_file,

@@ -275,10 +275,11 @@ def _clear_engine_caches():
 def test_cold_facemap_verify_work_counts(monkeypatch):
     # work counts do not depend on the machine: a certificate that gets
     # dearer shows up here even where wall times are noise.  The bounds
-    # are the counts of the cheapest-first certificate order.
+    # are the counts of the cheapest-first certificate order with reach
+    # screening and one rate system per face set.
     from qhcalc import a_spaces as asp
     counts = dict.fromkeys(("blowup", "_fm_feasible", "disjoint",
-                            "_closure"), 0)
+                            "_closure", "separated_by"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -287,7 +288,8 @@ def test_cold_facemap_verify_work_counts(monkeypatch):
         return wrapper
 
     for owner, name in ((cs, "blowup"), (cs, "_fm_feasible"),
-                        (cs.Space, "disjoint"), (cs.Space, "_closure")):
+                        (cs.Space, "disjoint"), (cs.Space, "_closure"),
+                        (cs.Space, "separated_by")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     _clear_engine_caches()
     try:
@@ -296,6 +298,101 @@ def test_cold_facemap_verify_work_counts(monkeypatch):
         _clear_engine_caches()
     assert rep == {"tables": 9, "mismatches": []}
     assert counts["blowup"] == 169          # every replay ran cold
-    assert counts["_fm_feasible"] <= 2637
+    assert counts["_fm_feasible"] <= 1217
     assert counts["disjoint"] <= 3039
-    assert counts["_closure"] <= 18790      # memo lookups, hits included
+    assert counts["_closure"] <= 11099      # memo lookups, hits included
+    assert counts["separated_by"] <= 12968
+
+
+def _unscreened(monkeypatch):
+    """Make `_reach` the full face mask, so no certificate is screened;
+    returns the real bound."""
+    reach = cs.Space._reach
+    monkeypatch.setattr(cs.Space, "_reach",
+                        lambda self, mask: (1 << len(self.faces)) - 1)
+    return reach
+
+
+def test_reach_bounds_every_closure(monkeypatch):
+    # every closure the unscreened engine computes in a cold verify lies
+    # inside the reach of the locus's faces
+    from qhcalc import a_spaces as asp
+    reach, closure = _unscreened(monkeypatch), cs.Space._closure
+    checked = []
+
+    def bounded(self, locus):
+        cl = closure(self, locus)
+        checked.append(cl & ~reach(self, self._mask(locus.faces)) == 0)
+        return cl
+
+    monkeypatch.setattr(cs.Space, "_closure", bounded)
+    _clear_engine_caches()
+    try:
+        assert asp.verify_facemaps(asp.CANONICAL_TOWER)["mismatches"] == []
+    finally:
+        _clear_engine_caches()
+    assert len(checked) > 10000 and all(checked)
+
+
+def _symmetric_spaces():
+    from qhcalc import a_spaces as asp
+    seq = asp.symmetric_triple_seq(asp.CANONICAL_TOWER)
+    return [replay(seq, n)[0] for n in range(len(seq.entries) + 1)]
+
+
+def test_screened_diag_meets_match_plain_loop(monkeypatch):
+    spaces = _symmetric_spaces()
+    _unscreened(monkeypatch)
+
+    @cs._memo_scope
+    def plain_diag_meets(space, step):
+        out = {}
+        for key, ms in space.diag_meets:
+            dloc = diag_locus(*key)
+            met = {h for h in ms if not space.separated_by(
+                dloc, Locus(frozenset({h})), step)}
+            if step.center.faces <= ms and not space.disjoint(dloc,
+                                                              step.center):
+                met.add(step.label)
+            out[key] = frozenset(met)
+        return out
+
+    dropped = 0
+    for prev, new in zip(spaces, spaces[1:]):
+        want = plain_diag_meets(prev, new.history[-1])
+        assert dict(new.diag_meets) == want
+        dropped += sum(len(prev._tracked[key] - ms)
+                       for key, ms in want.items())
+    assert dropped > 0          # some step separates a diagonal from a face
+
+
+def test_screened_disjoint_matches_plain_loop(monkeypatch):
+    # one-face diagonals against single faces: the pairs where an earlier
+    # blowup, not the tracked meet sets, can certify disjointness
+    import random
+    rng = random.Random(11)
+    pairs = []
+    for space in _symmetric_spaces()[5::3]:
+        names = space.face_names
+        for _ in range(200):
+            t1 = Locus(frozenset(rng.sample(names, 1)),
+                       Merge.diag(rng.sample((1, 2, 3), rng.randint(2, 3)),
+                                  rng.randint(-1, 1)),
+                       rng.random() < 0.5)
+            pairs.append((space, t1, Locus(frozenset(rng.sample(names, 1)))))
+    got = [space.disjoint(t1, t2) for space, t1, t2 in pairs]
+    _unscreened(monkeypatch)
+    separated = []
+
+    @cs._memo_scope
+    def plain_disjoint(space, t1, t2):
+        joint = Locus(t1.faces | t2.faces, t1.merge.join(t2.merge),
+                      t1.pure and t2.pure)
+        if not space.locus_nonempty_certificate(joint):
+            return True
+        separated.append(any(space.separated_by(t1, t2, st)
+                             for st in space.history))
+        return separated[-1]
+
+    assert got == [plain_disjoint(*pair) for pair in pairs]
+    assert sum(separated) >= 10 and not all(separated)
