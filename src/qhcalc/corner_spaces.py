@@ -445,7 +445,7 @@ class Space:
     def _reach(self, mask: int) -> int:
         """Bound on the `_closure` of every locus on these faces.
 
-        The pair rule adds faces of `_nbr(cl)`, inside `_nbr(mask)`; the
+        The pair rule adds faces of `_nbr(cl)` <= `mask | _nbr(mask)`; the
         history rule adds front faces whose centers are inside, and a
         center names only earlier faces, so one forward pass suffices.
         """
@@ -460,8 +460,8 @@ class Space:
     def rates_feasible(self, required, optional, blocks) -> bool:
         """Can the required faces vanish jointly at positive rates while
         the boundary coordinates of each level -1 block keep equal rates?
-        Only a merge's `at(-1)` enters the system.  Infeasibility proves
-        the region empty; feasibility proves nothing."""
+        `blocks` is a merge's `at(-1)`, the only merge data read here.
+        Infeasibility proves the region empty; feasibility proves nothing."""
         supp = list(dict.fromkeys(list(required) + list(optional)))
         n, req = len(supp), set(required)
         rows = [_unit_row(n, k, -(f in req)) for k, f in enumerate(supp)]
