@@ -16,15 +16,11 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import a_spaces as asp
-from . import corner_spaces as cs
-from . import densities as dn
-from . import index_algebra as ia
-from . import op_calculus as oc
-from .a_spaces import Tower
+from .tower import Tower
 
 if TYPE_CHECKING:
     from . import model_symbols as ms
+    from . import op_calculus as oc
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -35,10 +31,10 @@ class UsageError(Exception):
 
 
 def _read_json(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise UsageError(f"{path} is not JSON: {e}") from None
 
 
@@ -76,7 +72,8 @@ def _nonnegative(option: str, value: int) -> int:
 
 
 # Each command returns (exit code, report), the report a dict for JSON or
-# a str for text or dot; ``main`` writes it.
+# a str for text or dot; ``main`` writes it.  Each imports the modules it
+# runs, so a fresh process loads no more than its command needs.
 
 def cmd_tower_validate(args):
     t = _load_tower(args.config)
@@ -88,6 +85,8 @@ def cmd_tower_validate(args):
 
 
 def cmd_space_double(args):
+    from . import a_spaces as asp
+    from . import corner_spaces as cs
     t = _load_tower(args.config)
     if args.format == "dot":
         return 0, _dot(t, "double")
@@ -111,6 +110,8 @@ def cmd_space_double(args):
 
 
 def cmd_space_triple(args):
+    from . import a_spaces as asp
+    from . import corner_spaces as cs
     t = _load_tower(args.config)
     if args.format == "dot":
         return 0, _dot(t, "triple")
@@ -132,6 +133,7 @@ def cmd_space_triple(args):
 
 
 def cmd_facemap_verify(args):
+    from . import a_spaces as asp
     rep = asp.verify_facemaps(_load_tower(args.config))
     code = DOMAIN_ERROR if rep["mismatches"] else 0
     if args.format == "json":
@@ -144,6 +146,8 @@ def cmd_facemap_verify(args):
 
 
 def cmd_weights(args):
+    from . import densities as dn
+    from . import index_algebra as ia
     t = _load_tower(args.config)
     count = _nonnegative("--sweep", args.sweep)
     gam = dn.gamma(t)
@@ -179,6 +183,9 @@ def cmd_weights(args):
 
 
 def _weight_sweep(t: Tower, rng: random.Random, count: int) -> dict:
+    from . import index_algebra as ia
+    from . import op_calculus as oc
+
     def rand_set():
         n = rng.randint(0, 2)
         return ia.normalize([
@@ -203,11 +210,14 @@ def _weight_sweep(t: Tower, rng: random.Random, count: int) -> dict:
 
 
 def _load_class(t: Tower, path: str) -> oc.OperatorClass:
+    from . import op_calculus as oc
     return _load_object(path, "operator class",
                         lambda data: oc.class_from_json(t, data))
 
 
 def cmd_compose(args):
+    from . import index_algebra as ia
+    from . import op_calculus as oc
     t = _load_tower(args.config)
     P = _load_class(t, args.P)
     Q = _load_class(t, args.Q)
@@ -222,6 +232,8 @@ def cmd_compose(args):
 
 
 def cmd_act(args):
+    from . import index_algebra as ia
+    from . import op_calculus as oc
     t = _load_tower(args.config)
     P = _load_class(t, args.P)
     I = _load_object(args.I, "index set file",
@@ -235,6 +247,7 @@ def cmd_act(args):
 
 
 def cmd_parametrix(args):
+    from . import op_calculus as oc
     t = _load_tower(args.config)
     m = _rational("-m", args.m)
     led = oc.parametrix_ledger(t, m)
@@ -254,6 +267,7 @@ def cmd_parametrix(args):
 
 
 def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
+    from . import index_algebra as ia
     from . import model_symbols as ms
     b, f1, f2 = ms.model_dims(t)
     data = _read_json(path)
@@ -271,9 +285,10 @@ def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
             mu = (item.get("alpha", 0), tuple(item.get("I", [0] * b)),
                   tuple(item.get("J", [0] * f1)),
                   tuple(item.get("K", [0] * f2)))
-            if any(type(e) is not int       # bools and floats included
+            if any(type(e) is not int or e < 0  # bools and floats too
                    for e in (mu[0], *mu[1], *mu[2], *mu[3])):
-                raise TypeError(f"multi-index {mu} is not all integers")
+                raise TypeError(f"multi-index {mu} is not all nonnegative "
+                                "integers")
             xp = spec.get("x_poly", [[0, "1", "0"]])
             trig = spec.get("trig", [{"modes": [0] * nm, "re": "1",
                                       "im": "0"}])
@@ -294,6 +309,7 @@ def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
 
 
 def cmd_normal_family(args):
+    from . import index_algebra as ia
     from . import model_symbols as ms
     t = _load_tower(args.config)
     if args.operator:
@@ -334,13 +350,17 @@ def parse_lambda(text: str):
             return Fraction(-1)
         return Fraction(txt)
 
-    for tok in re.findall(r"[+-]?[^+-]+", s):
-        if tok.endswith("pi^2"):
-            re2 += frac(tok[:-4])
-        elif tok.endswith("i"):
-            im += frac(tok[:-1])
-        else:
-            re0 += Fraction(tok)
+    try:
+        for tok in re.findall(r"[+-]?[^+-]+", s):
+            if tok.endswith("pi^2"):
+                re2 += frac(tok[:-4])
+            elif tok.endswith("i"):
+                im += frac(tok[:-1])
+            else:
+                re0 += Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in spectral parameter {text!r}") \
+            from None
     return re0, re2, im
 
 
@@ -372,6 +392,8 @@ def cmd_resolvent_check(args):
 
 def _dot(t: Tower, which: str) -> str:
     """Face lattice; the triple space is its symmetric replay alone."""
+    from . import a_spaces as asp
+    from . import corner_spaces as cs
     if which == "double":
         space = asp.double_space(t).space
     else:
@@ -480,7 +502,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, cs.BlowupError, cs.RewriteError) as e:
+    except ValueError as e:     # BlowupError and RewriteError included
         print(str(e), file=sys.stderr)
         return DOMAIN_ERROR
     if not isinstance(report, str):

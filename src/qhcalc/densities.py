@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import a_spaces as asp
-from .a_spaces import TRIPLE_STAGES, Tower, family_name
 from .corner_spaces import Space, blowup_weights
 from .index_algebra import WeightVector, pullback_weights
+from .tower import TRIPLE_STAGES, Tower, family_name
 
 
 def gamma(t: Tower) -> tuple:

@@ -470,6 +470,9 @@ def family_to_json(E: IndexFamily) -> dict:
 
 
 def family_from_json(faces: Sequence[str], data: Mapping) -> IndexFamily:
+    unknown = sorted(set(data) - set(faces))
+    if unknown:
+        raise ValueError(f"unknown face {', '.join(map(repr, unknown))}")
     return IndexFamily(tuple(faces),
                        {f: indexset_from_json(data.get(f, [])) for f in faces})
 

@@ -19,7 +19,9 @@ arrays.  The grid is evaluated with numpy in chunks of bounded size,
 one batched SVD per chunk, and the witness is the first grid point, in
 ``itertools.product`` order, that attains the minimum.
 Model operators live on depth-2 towers; other depths are rejected with
-a ``ValueError``.
+a ``ValueError``.  numpy is imported by the functions that do float work,
+each of which runs only after the depth is checked, so the exact paths
+and every rejected depth run without it.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .a_spaces import Tower
 from .index_algebra import CxRat, cx
+from .tower import Tower
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -624,6 +627,7 @@ class NormalFamilyMatrix:
         return len(self.modes)
 
     def to_array(self) -> np.ndarray:
+        import numpy as np
         idx = {k: i for i, k in enumerate(self.modes)}
         A = np.zeros((len(self.modes), len(self.modes)), dtype=complex)
         for (r, c), v in self.entries.items():
@@ -777,6 +781,7 @@ def multiplicativity_check(P: ADiffOp, Q: ADiffOp, samples,
                 fam_ok = False
         else:
             exact_all = False
+            import numpy as np
             idx = {k: i for i, k in enumerate(MA.modes)}
             sel = [i for k, i in idx.items()
                    if max((abs(q) for q in k), default=0) <= safe]
@@ -806,6 +811,7 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
     the rational and pi^2 parts must match separately).
     """
     b, f1, f2 = model_dims(t)
+    import numpy as np
     dim = 1 + b + f1
     n = int(Fraction(radius) / Fraction(step))
     axis = np.array([float(Fraction(step) * i) for i in range(-n, n + 1)])
@@ -932,6 +938,7 @@ def _symbol_nonvanishing_sampled(sym: SymbolPoly) -> bool:
              for mu, c in sym.terms]
     if sym.degree == 0:
         return bool(abs(sum(v for _, v in terms)) > _SYMBOL_TOL)
+    import numpy as np
     # Python's x ** p, then the point loop's products and sums in order
     top = max(max(powers) for powers, _ in terms)
     pw = np.array([[x ** p for x in _SPHERE_AXIS] for p in range(top + 1)])
@@ -971,6 +978,7 @@ def _compile_family(P: ADiffOp, N: int):
     ``normal_family_matrix``, and then converted to one complex array.
     Returns the modes and {k: [(e, C[k, e]), ...]} in increasing k.
     """
+    import numpy as np
     _, _, sw = _mode_slices(P.tower)
     modes = _truncated_modes(P, N, sw)
     exact: dict = {}
@@ -995,6 +1003,7 @@ _SWEEP_CHUNK_BYTES = 1 << 21
 
 def _grid_min_singular(P: ADiffOp, lam: complex, N: int, radius, step):
     """Grid minimum of the family's smallest singular value, and witness."""
+    import numpy as np
     modes, family = _compile_family(P, N)
     d = len(modes)
     dim = 1 + P.tower.b + P.tower.f[0]

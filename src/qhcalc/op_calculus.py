@@ -11,7 +11,10 @@ extended union per double face; the full pullback and pushforward
 pipeline of ``index_algebra`` is kept as the test oracle for the plan.
 The deepest-face closed form, the mapping rule for polyhomogeneous
 inputs, adjoints, conjugation, the parametrix remainder ledger and the
-compactness thresholds are all stated at this class level.
+compactness thresholds are all stated at this class level.  The triple
+space and the weights are imported only past the depth and
+integrability checks, so a rejected composition and ``act`` never load
+the corner engine.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from . import a_spaces as asp
-from . import densities as dn
 from . import index_algebra as ia
-from .a_spaces import Tower
 from .index_algebra import (EMPTY, INF, SMOOTH, IndexFamily, IndexSet, add,
                             ext_union_many, family, inf_re, make, shift)
+from .tower import Tower, double_face_names
 
 NEG_INF = -math.inf
-DOUBLE_FACES = asp.double_face_names(2)
+DOUBLE_FACES = double_face_names(2)
 
 
 class NonIntegrable(ValueError):
@@ -111,6 +112,7 @@ def composition_plan() -> tuple:
     faces g with pi_2(g, h) = 1.  Faces come as (g, pair); every
     projection exponent is 0 or 1, so no exponent is scaled or divided.
     """
+    from . import a_spaces as asp
     pi1, pi2, pi3 = asp.triple_projection_tables()
 
     def over(pi, g):
@@ -133,6 +135,7 @@ def compose(P: OperatorClass, Q: OperatorClass) -> OperatorClass:
     """
     t = _composition_tower(P, Q)
     _require_integrable(P.family["rf"], Q.family["lf"], "rf/lf")
+    from . import densities as dn
     pairs, null, terms = composition_plan()
     sums = {}
     for pf, qf in pairs:
@@ -157,6 +160,7 @@ def ffz_closed_form(P: OperatorClass, Q: OperatorClass) -> IndexSet:
     gamma_z - gamma_y."""
     _composition_tower(P, Q)
     _require_integrable(P.family["rf"], Q.family["lf"], "rf/lf")
+    from . import densities as dn
     gy, gz = dn.gamma(P.tower)
     I, J = P.family, Q.family
     return ext_union_many([
@@ -321,6 +325,7 @@ def hilbert_schmidt(p, k, t: Tower) -> bool:
     if t.k < 1:
         raise ValueError("the Hilbert-Schmidt threshold needs tower depth "
                          f">= 1, got depth {t.k}")
+    from . import densities as dn
     gz = dn.gamma(t)[-1]
     return (Fraction(p) > Fraction(gz - 1, 2)
             and Fraction(k) < Fraction(-t.dim, 2))

@@ -525,3 +525,140 @@ def test_package_and_cli_import_without_numpy():
     p = _python("-c", "import sys, qhcalc, qhcalc.cli; "
                       "print('numpy' in sys.modules)")
     assert p.returncode == 0 and p.stdout == "False\n"
+
+
+# Each command form, run in a fresh interpreter, and the qhcalc modules it
+# loads besides the package, ``cli`` and ``tower``; "numpy" marks numpy.
+_LOADS = """\
+import contextlib, io, json, sys
+import qhcalc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qhcalc.cli.main(sys.argv[1:])
+print(code, json.dumps(sorted(m for m in sys.modules
+                              if m.startswith("qhcalc.") or m == "numpy")))
+"""
+_ENGINE = {"a_spaces", "corner_spaces"}
+_CLASSES = {"index_algebra", "op_calculus"}
+_MODEL = {"index_algebra", "model_symbols"}
+
+
+@pytest.mark.parametrize("argv, code, loads", [
+    ("tower validate -c {t2}", 0, set()),
+    ("space double -c {t2}", 0, _ENGINE),
+    ("space triple -c {t1}", 1, _ENGINE),
+    ("facemap verify -c {t0}", 0, _ENGINE),
+    ("export-dot -c {t2}", 0, _ENGINE),
+    ("weights -c {t2} --sweep 0", 0, _ENGINE | _CLASSES | {"densities"}),
+    ("compose -c {t2} -P {P} -Q {Q}", 0,
+     _ENGINE | _CLASSES | {"densities"}),
+    ("compose -c {t2} -P {Pbad} -Q {Qbad}", 1, _CLASSES),
+    ("compose -c {t1} -P {P} -Q {Q}", 1, _CLASSES),
+    ("act -c {t2} -P {P} -I {I}", 0, _CLASSES),
+    ("parametrix -c {t1}", 1, _CLASSES),
+    ("normal-family -c {t1}", 1, _MODEL),
+    ("normal-family -c {t2} --N 2", 0, _MODEL),
+    ("normal-family -c {t2} --N 2 -O {O}", 0, _MODEL),
+    ("resolvent-check -c {t1} --lambda=-1", 1, _MODEL),
+    ("resolvent-check -c {t2} --lambda=-1 --N 1 --radius 1", 0,
+     _MODEL | {"numpy"}),
+], ids=["tower-validate", "space-double", "space-triple-depth-1",
+        "facemap-verify-depth-0", "export-dot", "weights", "compose",
+        "compose-rejected", "compose-depth-1", "act", "parametrix-depth-1",
+        "normal-family-depth-1", "normal-family", "normal-family-operator",
+        "resolvent-check-depth-1", "resolvent-check"])
+def test_command_loads_only_the_modules_it_runs(argv, code, loads, tmp_path):
+    from qhcalc.index_algebra import make
+    t = Tower(2, (1, 1, 1), 1, (1, 1))
+    data = {
+        "t0": {"k": 0, "a": [1], "b": 1, "f": []},
+        "t1": {"k": 1, "a": [1, 2], "b": 1, "f": [1]},
+        "t2": t.to_json(),
+        "P": oc.class_to_json(oc.op_class(t, 0, lf=make((1, 0)))),
+        "Q": oc.class_to_json(oc.op_class(t, 0, rf=make((2, 0)))),
+        "Pbad": oc.class_to_json(oc.op_class(t, 0, rf=make((0, 0)))),
+        "Qbad": oc.class_to_json(oc.op_class(t, 0, lf=make((0, 0)))),
+        "I": {"set": [["1", "0", 0]]},
+        "O": {"terms": [{"alpha": 2}, {"K": [2]}]}}
+    paths = {}
+    for name, value in data.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(value))
+    p = _python("-c", _LOADS, *argv.format(**paths).split())
+    assert p.returncode == 0, p.stderr
+    got_code, got = p.stdout.split(" ", 1)
+    assert int(got_code) == code
+    assert json.loads(got) == sorted(
+        "numpy" if m == "numpy" else f"qhcalc.{m}"
+        for m in loads | {"cli", "tower"})
+
+
+def test_package_loads_each_submodule_on_first_access():
+    p = _python("-c", """\
+import sys
+import qhcalc
+def loaded():
+    return sorted(m[7:] for m in sys.modules if m.startswith("qhcalc."))
+print(loaded())
+print(qhcalc.Tower is qhcalc.tower.Tower, loaded())
+from qhcalc.a_spaces import Tower
+print(Tower is qhcalc.Tower, loaded())
+""")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == ("[]\n"
+                        "True ['tower']\n"
+                        "True ['a_spaces', 'corner_spaces', 'tower']\n")
+    assert set(qhcalc.__all__) <= set(dir(qhcalc))
+    assert {"Tower", "cli", "model_symbols", "tower"} <= set(dir(qhcalc))
+    assert qhcalc.op_calculus is oc and qhcalc.Tower is Tower
+    with pytest.raises(AttributeError, match="'nope'"):
+        qhcalc.nope
+    with pytest.raises(ImportError):
+        from qhcalc import nope  # noqa: F401
+
+
+@pytest.mark.parametrize("lam", ["1/0", "-1+1/0i", "2/0pi^2"])
+def test_lambda_with_zero_denominator_is_usage_error(lam, tower_file,
+                                                     capsys):
+    err = _one_line_usage_error(["resolvent-check", "-c", tower_file,
+                                 f"--lambda={lam}"], capsys)
+    assert f"spectral parameter {lam!r}" in err
+
+
+@pytest.mark.parametrize("term", [
+    {"alpha": -1}, {"I": [-1]}, {"J": [-2]}, {"alpha": 2, "K": [-1]}],
+    ids=["alpha", "I", "J", "K"])
+def test_negative_multi_index_is_usage_error(term, tower_file, tmp_path,
+                                             capsys):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"terms": [term]}))
+    err = _one_line_usage_error(["normal-family", "-c", tower_file, "-O",
+                                 str(op), "--N", "1"], capsys)
+    assert err.startswith(f"{op}: term 0 is malformed: ")
+    assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("command", ["compose", "act"])
+def test_class_with_unknown_face_is_usage_error(command, tower_file,
+                                                tmp_path, capsys):
+    bad, i = tmp_path / "bad.json", tmp_path / "i.json"
+    bad.write_text(json.dumps({"order": "0", "family": {
+        "ff_z": [["1", "0", 0]], "ff_Z": [["-1", "0", 0]]}}))
+    i.write_text(json.dumps({"set": [["1", "0", 0]]}))
+    second = ["-Q", str(bad)] if command == "compose" else ["-I", str(i)]
+    err = _one_line_usage_error(
+        [command, "-c", tower_file, "-P", str(bad)] + second, capsys)
+    assert err.startswith(f"{bad}: ") and "'ff_Z'" in err
+
+
+@pytest.mark.parametrize("option", ["-c", "-P", "-I"])
+def test_non_utf8_input_is_usage_error(option, tower_file, tmp_path, capsys):
+    t = Tower(2, (1, 1, 1), 1, (1, 1))
+    files = {"-c": tower_file, "-P": tmp_path / "p.json",
+             "-I": tmp_path / "i.json"}
+    files["-P"].write_text(json.dumps(oc.class_to_json(oc.small(t, 0, 0))))
+    files["-I"].write_text(json.dumps({"set": [["1", "0", 0]]}))
+    files[option] = tmp_path / "latin1.json"
+    files[option].write_bytes('{"set": "é"}'.encode("latin-1"))
+    args = ["act"] + [str(x) for opt in files for x in (opt, files[opt])]
+    err = _one_line_usage_error(args, capsys)
+    assert err.startswith(f"{files[option]} is not JSON: ")
