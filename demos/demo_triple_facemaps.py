@@ -4,8 +4,8 @@ The symmetric construction blows up twenty-one centers of the cube of a
 manifold with fibred boundary.  To obtain the projections onto the
 double space, the sequence is rewritten, through certified commutation
 steps, into one that starts with a single factor times the double
-space.  The resulting face tables are compared with the stored
-references, and the two constructions are checked to be isomorphic.
+space.  The resulting face tables are compared with the closed
+face-table rule, and the two constructions are checked to be isomorphic.
 """
 
 from qhcalc import a_spaces as asp

@@ -3,11 +3,12 @@
 Towers and their face names live in ``tower`` and are re-exported here,
 with the coordinate-change rules of a tower.  The double space resolves
 the chain of partial diagonals of a two-factor product; the triple space
-(depth 2 only) resolves the full diagram of partial diagonals of a
-three-factor product in twenty-one steps.  Projections to the double
-space are obtained by commuting the symmetric blowup sequence, through
-certified rewrite steps, into one that starts with a single-factor
-times double-space prefix.
+resolves the full diagram of partial diagonals of a three-factor product,
+level by level (twenty-one steps at depth 2, where the commands stop).
+Projections to the double space are obtained by commuting the symmetric
+blowup sequence, through certified rewrite steps and by a loop over
+levels, into one that starts with a single-factor times double-space
+prefix; their face tables are checked against a closed rule.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ def symmetric_triple_seq(t: Tower, stage: str = "z") -> BlowupSeq:
     """Every triple-space view starts here, so the depth is checked here."""
     if stage == "z" and t.k != 2:
         raise ValueError("triple space needs tower depth 2")
-    if stage == "y" and t.k < 1:
-        raise ValueError("triple space stage y needs tower depth 1")
+    if t.k < TRIPLE_STAGES.index(stage):
+        raise ValueError(f"triple space stage {stage} needs tower depth "
+                         f"{TRIPLE_STAGES.index(stage)}")
     if t.a0 != 1:
         raise ValueError("space constructions need a_0 = 1")
     dims = t.level_dims()
@@ -183,45 +185,38 @@ def symmetric_triple_seq(t: Tower, stage: str = "z") -> BlowupSeq:
 
 
 def commuted_triple_seq(t: Tower, stage: str = "z") -> BlowupSeq:
-    """Rewrite the symmetric sequence so it starts with the index-1
-    single-factor-times-double-space chain.
+    """Rewrite the symmetric sequence, by certified commutation steps, so
+    it starts with the index-1 single-factor-times-double-space chain.
 
-    Every step is one of the three certified commutation rules; the
-    derivation follows the exchange pattern of the nested (corner,
-    pair-diagonal, triple-diagonal) triples stage by stage.
+    Level l's index-1 block is V_l and the index-1 face of each family at
+    level l, newest first.  Disjoint swaps gather each block behind its
+    V_l and pull the blocks forward, deepest first.  Then each level
+    makes a nested swap at V_l, moves V_l to the end of its block and
+    exchanges one triple per family, newest first.
     """
     s = symmetric_triple_seq(t, stage)
-    if stage == "x":
-        return rewrite_step(s, 2, 0)
-    s = bubble_to(s, "E_{1,y}", 6)
-    if stage == "z":
-        s = bubble_to(s, "E_{1,z}", 16)
-        s = bubble_to(s, "G_{1,z}", 13)
-        s = bubble_to(s, "E_{1,z}", 14)
-        for lbl, tgt in [("V_z", 7), ("F_{1,z}", 8), ("G_{1,z}", 9),
-                         ("E_{1,z}", 10)]:
-            s = bubble_to(s, lbl, tgt)
-        head = [("V_y", 2), ("G_{1,y}", 3), ("E_{1,y}", 4), ("V_z", 5),
-                ("F_{1,z}", 6), ("G_{1,z}", 7), ("E_{1,z}", 8)]
-    else:
-        head = [("V_y", 2), ("G_{1,y}", 3), ("E_{1,y}", 4)]
-    for lbl, tgt in head:
-        s = bubble_to(s, lbl, tgt)
-    s = rewrite_step(s, 2, 0)     # corner and first axis
-    s = rewrite_step(s, 2, 2)     # triple diagonal into the pair face
-    s = rewrite_step(s, 1, 3)
-    s = rewrite_step(s, 3, 1)     # exchange axis corner / pair / index-1
-    if stage == "y":
-        return s
-    s = rewrite_step(s, 2, 5)     # same pattern one level deeper
-    s = rewrite_step(s, 1, 6)
-    s = rewrite_step(s, 1, 7)
-    s = rewrite_step(s, 3, 4)
-    s = rewrite_step(s, 1, 6)
-    s = rewrite_step(s, 1, 5)
-    s = rewrite_step(s, 1, 3)
-    s = rewrite_step(s, 1, 4)
-    s = rewrite_step(s, 3, 2)
+    blocks = [[f"V_{TRIPLE_STAGES[l]}"]
+              + [family_name(c, 1, l) for c in range(l, -1, -1)]
+              for l in range(TRIPLE_STAGES.index(stage) + 1)]
+    for block in blocks:
+        for j, name in enumerate(block[1:], 1):
+            s = bubble_to(s, name, s.index_of(block[0]) + j)
+    for l in range(len(blocks) - 1, 0, -1):
+        at = s.index_of(blocks[l - 1][0]) + len(blocks[l - 1])
+        for j, name in enumerate(sum(blocks[l:], [])):
+            s = bubble_to(s, name, at + j)
+    s = rewrite_step(s, 2, 0)
+    for l in range(1, len(blocks)):
+        v = blocks[l][0]
+        s = rewrite_step(s, 2, s.index_of(v))
+        s = bubble_to(s, v, s.index_of(blocks[l][-1]))
+        for c in range(l, 0, -1):
+            y = blocks[l - 1][0] if c == l else family_name(c, 1, l - 1)
+            a, w = family_name(c, 1, l), family_name(c - 1, 1, l)
+            s = bubble_to(s, w, s.index_of(a) + 1)
+            p = s.index_of(y)
+            s = bubble_to(bubble_to(s, a, p + 1), w, p + 2)
+            s = rewrite_step(s, 3, p)
     return s
 
 
@@ -267,12 +262,11 @@ def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
 
     The space itself is the symmetric construction.  Each projection is
     derived from the commuted sequence for that index: composition of
-    the blowdown maps onto the three-step prefix (the single factor
-    times the double space) with the product projection, re-based onto
+    the blowdown maps onto its index-1 prefix (the single factor times
+    the double space) with the product projection, re-based onto
     the symmetric space through the canonical face naming.
     """
-    sym = symmetric_triple_seq(t, stage)
-    space, _ = replay(sym)
+    space, _ = replay(symmetric_triple_seq(t, stage))
     dt = reduce(t, TRIPLE_STAGES.index(stage))
     dbl = double_space(dt)
     projections = tuple(_triple_projection(t, stage, i, space, dbl)
@@ -282,10 +276,9 @@ def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
 
 def _triple_projection(t: Tower, stage: str, i: int, sym_space: Space,
                        dbl: ASpaceDouble) -> BMap:
-    com1 = commuted_triple_seq(t, stage)
-    com = relabel_seq(com1, i) if i != 1 else com1
+    com = relabel_seq(commuted_triple_seq(t, stage), i)
     level = TRIPLE_STAGES.index(stage)
-    top, maps = replay(com)
+    _, maps = replay(com)
     chain = maps[-1]
     for beta in reversed(maps[level + 1:-1]):
         chain = compose(chain, beta)
@@ -314,61 +307,34 @@ def face_table(proj: BMap) -> dict:
     return {k: tuple(sorted(v)) for k, v in out.items()}
 
 
-# ---------------------------------------------------------------------------
-# stored reference tables (test fixtures; never used operationally)
+def facemap_rule(stage: str, i: int) -> dict:
+    """Face table of projection i at a stage, by the closed rule.
 
-def _tbl(d):
-    return {k: tuple(sorted(v)) for k, v in d.items()}
-
-
-REFERENCE_FACEMAP_Z1 = _tbl({
-    "rf": ["H_3", "E_{2,x}", "E_{2,y}", "E_{2,z}"],
-    "lf": ["H_2", "E_{3,x}", "E_{3,y}", "E_{3,z}"],
-    "ff_zx": ["V_x", "E_{1,x}", "G_{2,y}", "G_{2,z}", "G_{3,y}", "G_{3,z}"],
-    "ff_zy": ["V_y", "E_{1,y}", "G_{1,y}", "F_{2,z}", "F_{3,z}"],
-    "ff_z": ["V_z", "E_{1,z}", "G_{1,z}", "F_{1,z}"],
-    "interior": ["H_1"],
-})
-
-REFERENCE_FACEMAP_X1 = _tbl({
-    "rf": ["H_3", "E_{2,x}"],
-    "lf": ["H_2", "E_{3,x}"],
-    "ff_x": ["V_x", "E_{1,x}"],
-    "interior": ["H_1"],
-})
-
-REFERENCE_FACEMAP_Y1 = _tbl({
-    "rf": ["H_3", "E_{2,x}", "E_{2,y}"],
-    "lf": ["H_2", "E_{3,x}", "E_{3,y}"],
-    "ff_yx": ["V_x", "E_{1,x}", "G_{2,y}", "G_{3,y}"],
-    "ff_y": ["V_y", "E_{1,y}", "G_{1,y}"],
-    "interior": ["H_1"],
-})
-
-
-def relabel_table(table: dict, i: int) -> dict:
-    """Index-i table from the index-1 table by factor transposition.
-
-    The left and right boundary roles follow the retained factors in
-    increasing order; the transposition with 3 reverses that order, so
-    the left and right classes swap there.
+    H_i maps into the interior and the other two H faces onto lf and rf
+    in factor order.  V_l and the index-i face of every family at level
+    l go to ff_l.  The other faces of the family new at level 0 go to lf
+    or rf by their retained factor; those of a family new at level
+    c >= 1 go to ff_{c-1}.
     """
-    out = {h: tuple(sorted(_relabel_name(g, _SIGMA[i]) for g in faces))
-           for h, faces in table.items()}
-    if i == 3:
-        out["lf"], out["rf"] = out["rf"], out["lf"]
-    return out
-
-
-def reference_table(stage: str, i: int) -> dict:
-    base = {"x": REFERENCE_FACEMAP_X1, "y": REFERENCE_FACEMAP_Y1,
-            "z": REFERENCE_FACEMAP_Z1}[stage]
-    return relabel_table(base, i) if i != 1 else dict(base)
+    level = TRIPLE_STAGES.index(stage)
+    faces = double_face_names(level)
+    ff = faces[2:]
+    side = dict(zip(sorted({1, 2, 3} - {i}), ("lf", "rf")))
+    out = {h: [] for h in faces + ("interior",)}
+    for j in (1, 2, 3):
+        out[side.get(j, "interior")].append(f"H_{j}")
+    for l in range(level + 1):
+        out[ff[l]].append(f"V_{TRIPLE_STAGES[l]}")
+        for c in range(l + 1):
+            for j in (1, 2, 3):
+                h = ff[l] if j == i else ff[c - 1] if c else side[6 - i - j]
+                out[h].append(family_name(c, j, l))
+    return {h: tuple(sorted(v)) for h, v in out.items()}
 
 
 def verify_facemaps(t: Tower) -> dict:
-    """Compare computed face tables of every stage and index against the
-    stored reference tables.  Returns a report with any mismatches."""
+    """Compare the replayed face table of every stage and index with
+    ``facemap_rule``.  Returns a report with any mismatches."""
     report = {"tables": 0, "mismatches": []}
     # the full triple space (stage z) exists at depth 2 only
     deepest = 2 if t.k == 2 else min(t.k, 1)
@@ -376,7 +342,7 @@ def verify_facemaps(t: Tower) -> dict:
         trip = triple_space(t, stage)
         for i in (1, 2, 3):
             got = face_table(trip.projections[i - 1])
-            want = reference_table(stage, i)
+            want = facemap_rule(stage, i)
             report["tables"] += 1
             for h in sorted(set(got) | set(want)):
                 if tuple(got.get(h, ())) != tuple(want.get(h, ())):
@@ -390,8 +356,10 @@ CANONICAL_TOWER = Tower(2, (1, 1, 1), 1, (1, 1))
 
 
 def relabel_projection(p1: BMap, i: int) -> BMap:
-    """Index-i projection from the index-1 one, relabelled as in
-    ``relabel_table``; the symmetric space is its own relabelling."""
+    """Index-i projection from the index-1 one by the factor
+    transposition of ``relabel_seq``.  The retained factors keep their
+    order except under the transposition with 3, which swaps lf and rf;
+    the symmetric space is its own relabelling."""
     swap = {"lf": "rf", "rf": "lf"} if i == 3 else {}
     return BMap(p1.domain, p1.codomain, {
         _relabel_name(g, _SIGMA[i]): tuple(sorted((swap.get(h, h), e)

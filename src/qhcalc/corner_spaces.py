@@ -1029,7 +1029,7 @@ def replay(seq: BlowupSeq, upto: Optional[int] = None):
 
     Results are cached by (base space, executed entries) in a bounded
     least-recently-used cache.  One `a_spaces.verify_facemaps` of a
-    depth-2 tower, the largest working set of any command, fills 173.
+    depth-2 tower, the largest working set of any command, fills 172.
     """
     n = len(seq.entries) if upto is None else upto
     return _replay(seq.base, seq.entries[:n])

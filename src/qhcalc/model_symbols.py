@@ -177,6 +177,8 @@ class ADiffOp:
                                  f"lengths {dims}")
             if any(len(m) != sum(dims) for _, m, _ in c):
                 raise ValueError(f"coefficient modes need length {sum(dims)}")
+            if min((mu[0], *mu[1], *mu[2], *mu[3])) < 0:
+                raise ValueError(f"multi-index {mu} has a negative entry")
 
     @property
     def order(self) -> int:

@@ -91,9 +91,12 @@ def normal_bundle_rank(t: Tower, l: int) -> int:
 # ---------------------------------------------------------------------------
 # level letters and face names
 
-TRIPLE_STAGES = ("x", "y", "z")     # letters of levels 0, 1, 2
-FAMILIES = ("E", "G", "F")          # triple-space family created at level c
-_FAMILY_NAME = re.compile(r"([EGF])_\{([123]),([xyz])\}$")
+# level l is stage TRIPLE_STAGES[l] of the triple space, and FAMILIES[l]
+# is the pair-diagonal family it creates; the parser reads both tuples
+TRIPLE_STAGES = ("x", "y", "z", "u")
+FAMILIES = ("E", "G", "F", "D")
+_FAMILY_NAME = re.compile(
+    rf"([{''.join(FAMILIES)}])_\{{([123]),([{''.join(TRIPLE_STAGES)}])\}}$")
 
 
 def family_name(c: int, i: int, l: int) -> str:
@@ -113,7 +116,7 @@ def parse_family_name(name: str):
 def double_face_names(k: int) -> tuple:
     """rf, lf and the front faces ff_0..ff_k; up to depth 2 these carry
     level letters, deepest level first (ff_zx, ff_zy, ff_z)."""
-    if k >= len(TRIPLE_STAGES):
+    if k >= 3:
         return ("rf", "lf") + tuple(f"ff_{j}" for j in range(k + 1))
     top = TRIPLE_STAGES[k]
     return (("rf", "lf") + tuple(f"ff_{top}{s}" for s in TRIPLE_STAGES[:k])

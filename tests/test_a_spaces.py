@@ -14,6 +14,7 @@ from qhcalc.a_spaces import (CoordChangeSpec, FormalASeries, Tower,
                              double_space, exponent_vector,
                              normal_bundle_rank, reduce, triple_space,
                              verify_facemaps)
+from test_corner_spaces import hand_path, reference_table, relabel_table
 
 T = Tower(2, (1, 1, 1), 1, (1, 1))
 
@@ -90,6 +91,62 @@ def test_facemap_tables_match_reference():
     assert rep["mismatches"] == []
 
 
+def test_facemap_rule_equals_stored_tables():
+    for stage, i in itertools.product("xyz", (1, 2, 3)):
+        assert asp.facemap_rule(stage, i) == reference_table(stage, i)
+
+
+def test_mutated_facemap_rule_reports_mismatches(monkeypatch):
+    # the rule is a real oracle: sending the non-index faces of the
+    # family new at level c >= 1 to ff_c instead of ff_{c-1} is caught
+    rule = asp.facemap_rule
+
+    def mutated(stage, i):
+        out = {h: list(fs) for h, fs in rule(stage, i).items()}
+        ff = double_face_names(asp.TRIPLE_STAGES.index(stage))[2:]
+        for c in range(1, len(ff)):
+            moved = [g for g in out[ff[c - 1]]
+                     if (asp.parse_family_name(g) or (0,))[0] == c]
+            out[ff[c - 1]] = [g for g in out[ff[c - 1]] if g not in moved]
+            out[ff[c]] += moved
+        return {h: tuple(sorted(fs)) for h, fs in out.items()}
+
+    monkeypatch.setattr(asp, "facemap_rule", mutated)
+    rep = verify_facemaps(T)
+    assert rep["tables"] == 9
+    assert {(m["stage"], m["projection"]) for m in rep["mismatches"]} == {
+        (stage, i) for stage in "yz" for i in (1, 2, 3)}
+
+
+# the 243 depth-2 towers (1, a1, a2) with b, f1, f2 in 0..2
+_SWEEP = list(itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2),
+                                (0, 1, 2)))
+
+
+@pytest.mark.parametrize("t", [T, Tower(2, (1, 3, 1), 1, (1, 1))] + [
+    Tower(2, (1, a1, a2), b, (f1, f2))
+    for a1, a2, b, f1, f2 in random.Random(14).sample(_SWEEP, 6)] + [
+    Tower(1, (1, 3), 1, (1,))])
+def test_derived_path_equals_hand_path(t):
+    for stage in asp.TRIPLE_STAGES[:t.k + 1]:
+        assert asp.commuted_triple_seq(t, stage).entries == \
+            hand_path(t, stage).entries, stage
+
+
+@pytest.mark.parametrize("t", [Tower(3, (1, 1, 1, 1), 1, (1, 1, 1)),
+                               Tower(3, (1, 2, 1, 3), 0, (1, 0, 2))],
+                         ids=["unit", "orders"])
+def test_depth_three_derived_path(t):
+    com = asp.commuted_triple_seq(t, "u")
+    assert com.labels()[:4] == ("E_{1,x}", "E_{1,y}", "E_{1,z}", "E_{1,u}")
+    assert len(com.entries) == 34
+    assert asp.triple_constructions_isomorphic(t, "u") is not None
+    trip = triple_space(t, "u")
+    for i, p in enumerate(trip.projections, 1):
+        assert cs.is_b_fibration(p)
+        assert asp.face_table(p) == asp.facemap_rule("u", i)
+
+
 def test_facemap_tables_independent_of_orders():
     rep = verify_facemaps(Tower(2, (1, 3, 2), 0, (2, 1)))
     assert rep["mismatches"] == []
@@ -104,9 +161,7 @@ def test_commuted_construction_isomorphic():
 def test_isomorphism_holds_for_every_tangency_order():
     # a seeded sample of the 243 depth-2 towers with orders (1, a1, a2)
     # and b, f1, f2 in 0..2, plus stage y at depth 1
-    grid = list(itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2),
-                                  (0, 1, 2)))
-    for a1, a2, b, f1, f2 in random.Random(6).sample(grid, 4) + [
+    for a1, a2, b, f1, f2 in random.Random(6).sample(_SWEEP, 4) + [
             (3, 1, 1, 1, 1)]:
         t = Tower(2, (1, a1, a2), b, (f1, f2))
         assert asp.triple_constructions_isomorphic(t) is not None, t
@@ -136,17 +191,18 @@ def test_isomorphism_rejects_every_order_mutation():
 
 
 def test_family_names_parse_back():
-    for c, i, l in itertools.product(range(3), (1, 2, 3), range(3)):
+    for c, i, l in itertools.product(range(4), (1, 2, 3), range(4)):
         assert asp.parse_family_name(asp.family_name(c, i, l)) == (c, i, l)
     assert asp.family_name(0, 1, 2) == "E_{1,z}"
     assert asp.family_name(2, 3, 2) == "F_{3,z}"
+    assert asp.family_name(3, 2, 3) == "D_{2,u}"
     for name in ("H_1", "V_y", "ff_zx", "E_{4,x}", "E_{1,w}", "E_{1,x}!"):
         assert asp.parse_family_name(name) is None
 
 
 def test_projection_tables_partition():
     for i in (1, 2, 3):
-        tbl = asp.reference_table("z", i)
+        tbl = asp.facemap_rule("z", i)
         all_faces = [g for fs in tbl.values() for g in fs]
         assert len(all_faces) == 24 and len(set(all_faces)) == 24
 
@@ -233,7 +289,7 @@ def test_projection2_table_is_transposed_projection1():
     trip = triple_space(T)
     t1 = asp.face_table(trip.projections[0])
     t2 = asp.face_table(trip.projections[1])
-    swapped = asp.relabel_table(t1, 2)
+    swapped = relabel_table(t1, 2)
     swapped["interior"] = tuple(sorted(
         asp._relabel_name(g, asp._SIGMA[2]) for g in t1["interior"]))
     assert {k: tuple(v) for k, v in t2.items()} == \

@@ -234,35 +234,101 @@ def test_blowup_of_whole_hypersurface_is_trivial():
     assert beta.matrix() == identity_bmap(sp).matrix()
 
 
-def test_rewrite_checkpoints_isomorphic():
-    # sampled intermediates of the full commutation derivation replay to
-    # spaces isomorphic with the original symmetric construction
+# The hand-derived commutation path of the depth-2 triple space and the
+# index-1 face tables stored with it.  They pin the level loops of
+# ``a_spaces.commuted_triple_seq`` and ``a_spaces.facemap_rule`` at
+# depth 2.  The path bubbles entries to targets by disjoint swaps, then
+# applies ``rewrite_step`` rules at positions; a stage keeps the bubbles
+# of its own levels and its first rewrites.
+HAND_BUBBLES = (
+    ("E_{1,y}", 6), ("E_{1,z}", 16), ("G_{1,z}", 13), ("E_{1,z}", 14),
+    ("V_z", 7), ("F_{1,z}", 8), ("G_{1,z}", 9), ("E_{1,z}", 10),
+    ("V_y", 2), ("G_{1,y}", 3), ("E_{1,y}", 4), ("V_z", 5), ("F_{1,z}", 6),
+    ("G_{1,z}", 7), ("E_{1,z}", 8))
+HAND_REWRITES = (
+    (2, 0),     # corner and first axis
+    (2, 2),     # triple diagonal into the pair face
+    (1, 3),
+    (3, 1),     # exchange axis corner / pair / index-1
+    (2, 5),     # same pattern one level deeper
+    (1, 6), (1, 7), (3, 4), (1, 6), (1, 5), (1, 3), (1, 4), (3, 2))
+STAGE_REWRITES = {"x": 1, "y": 4, "z": 13}
+
+
+def _tbl(d):
+    return {k: tuple(sorted(v)) for k, v in d.items()}
+
+
+REFERENCE_FACEMAP_Z1 = _tbl({
+    "rf": ["H_3", "E_{2,x}", "E_{2,y}", "E_{2,z}"],
+    "lf": ["H_2", "E_{3,x}", "E_{3,y}", "E_{3,z}"],
+    "ff_zx": ["V_x", "E_{1,x}", "G_{2,y}", "G_{2,z}", "G_{3,y}", "G_{3,z}"],
+    "ff_zy": ["V_y", "E_{1,y}", "G_{1,y}", "F_{2,z}", "F_{3,z}"],
+    "ff_z": ["V_z", "E_{1,z}", "G_{1,z}", "F_{1,z}"],
+    "interior": ["H_1"],
+})
+
+REFERENCE_FACEMAP_X1 = _tbl({
+    "rf": ["H_3", "E_{2,x}"],
+    "lf": ["H_2", "E_{3,x}"],
+    "ff_x": ["V_x", "E_{1,x}"],
+    "interior": ["H_1"],
+})
+
+REFERENCE_FACEMAP_Y1 = _tbl({
+    "rf": ["H_3", "E_{2,x}", "E_{2,y}"],
+    "lf": ["H_2", "E_{3,x}", "E_{3,y}"],
+    "ff_yx": ["V_x", "E_{1,x}", "G_{2,y}", "G_{3,y}"],
+    "ff_y": ["V_y", "E_{1,y}", "G_{1,y}"],
+    "interior": ["H_1"],
+})
+
+
+def hand_path(t, stage, upto=None):
+    """The hand path's sequence at a stage after its first `upto` steps."""
     from qhcalc import a_spaces as asp
+    level = asp.TRIPLE_STAGES.index(stage)
+    steps = [(lbl, tgt) for lbl, tgt in HAND_BUBBLES
+             if asp.TRIPLE_STAGES.index(lbl.rstrip("}")[-1]) <= level]
+    s = asp.symmetric_triple_seq(t, stage)
+    for a, b in (steps + list(HAND_REWRITES[:STAGE_REWRITES[stage]]))[:upto]:
+        s = bubble_to(s, a, b) if isinstance(a, str) else rewrite_step(s, a, b)
+    return s
+
+
+def relabel_table(table: dict, i: int) -> dict:
+    """Index-i table from the index-1 table by factor transposition.
+
+    The left and right boundary roles follow the retained factors in
+    increasing order; the transposition with 3 reverses that order, so
+    the left and right classes swap there.
+    """
+    from qhcalc import a_spaces as asp
+    out = {h: tuple(sorted(asp._relabel_name(g, asp._SIGMA[i])
+                           for g in faces))
+           for h, faces in table.items()}
+    if i == 3:
+        out["lf"], out["rf"] = out["rf"], out["lf"]
+    return out
+
+
+def reference_table(stage: str, i: int) -> dict:
+    base = {"x": REFERENCE_FACEMAP_X1, "y": REFERENCE_FACEMAP_Y1,
+            "z": REFERENCE_FACEMAP_Z1}[stage]
+    return relabel_table(base, i) if i != 1 else dict(base)
+
+
+def test_rewrite_checkpoints_isomorphic():
+    # sampled intermediates of the hand path replay to spaces isomorphic
+    # with the original symmetric construction: after the first level-2
+    # compaction, after every bubble and after each triple exchange
     from qhcalc.a_spaces import Tower
     t = Tower(2, (1, 1, 1), 1, (1, 1))
-    sym = asp.symmetric_triple_seq(t)
-    A, _ = replay(sym)
-    s = sym
-    s = bubble_to(s, "E_{1,y}", 6)
-    s = bubble_to(s, "E_{1,z}", 16)
-    s = bubble_to(s, "G_{1,z}", 13)
-    s = bubble_to(s, "E_{1,z}", 14)
-    B, _ = replay(s)
-    assert isomorphic(A, B, incidence="within") is not None
-    for lbl, tgt in [("V_z", 7), ("F_{1,z}", 8), ("G_{1,z}", 9),
-                     ("E_{1,z}", 10), ("V_y", 2), ("G_{1,y}", 3),
-                     ("E_{1,y}", 4), ("V_z", 5), ("F_{1,z}", 6),
-                     ("G_{1,z}", 7), ("E_{1,z}", 8)]:
-        s = bubble_to(s, lbl, tgt)
-    B, _ = replay(s)
-    assert isomorphic(A, B, incidence="within") is not None
-    for i, (rule, pos) in enumerate([(2, 0), (2, 2), (1, 3), (3, 1), (2, 5),
-                                     (1, 6), (1, 7), (3, 4), (1, 6), (1, 5),
-                                     (1, 3), (1, 4), (3, 2)]):
-        s = rewrite_step(s, rule, pos)
-        if i in (3, 7, 12):     # after each triple exchange
-            B, _ = replay(s)
-            assert isomorphic(A, B, incidence="within") is not None
+    A, _ = replay(hand_path(t, "z", 0))
+    for n in (4, 15, 19, 23, 28):
+        B, _ = replay(hand_path(t, "z", n))
+        assert isomorphic(A, B, incidence="within") is not None
+    assert len(hand_path(t, "z").entries) == 21
 
 
 def _clear_engine_caches():
@@ -276,7 +342,8 @@ def test_cold_facemap_verify_work_counts(monkeypatch):
     # work counts do not depend on the machine: a certificate that gets
     # dearer shows up here even where wall times are noise.  The bounds
     # are the counts of the cheapest-first certificate order with reach
-    # screening and one rate system per face set.
+    # screening and one rate system per face set, on the commuted path of
+    # the level loops.
     from qhcalc import a_spaces as asp
     counts = dict.fromkeys(("blowup", "_fm_feasible", "disjoint",
                             "_closure", "separated_by"), 0)
@@ -297,11 +364,11 @@ def test_cold_facemap_verify_work_counts(monkeypatch):
     finally:
         _clear_engine_caches()
     assert rep == {"tables": 9, "mismatches": []}
-    assert counts["blowup"] == 169          # every replay ran cold
-    assert counts["_fm_feasible"] <= 1217
-    assert counts["disjoint"] <= 3039
-    assert counts["_closure"] <= 11099      # memo lookups, hits included
-    assert counts["separated_by"] <= 12968
+    assert counts["blowup"] == 168          # every replay ran cold
+    assert counts["_fm_feasible"] <= 1212
+    assert counts["disjoint"] <= 3020
+    assert counts["_closure"] <= 11058      # memo lookups, hits included
+    assert counts["separated_by"] <= 12842
 
 
 def _unscreened(monkeypatch):

@@ -297,6 +297,20 @@ def test_operator_shape_checked_when_built():
                        ms.Coeff({(0, (0, 1), 0): cx(1)})})
 
 
+def test_negative_multi_index_rejected_when_built():
+    # a negative entry used to build an operator whose fibre-mode matrix
+    # raised later: a float mode factor for K, a zero division for alpha
+    for mu in [(0, (0,), (0,), (-1,)), (-1, (0,), (0,), (0,)),
+               (0, (-1,), (0,), (0,)), (0, (0,), (-2,), (0,))]:
+        with pytest.raises(ValueError, match="has a negative entry"):
+            ms.make_op(T, {mu: ms.coeff_const(T, 1)})
+    # with no base and no fibres, alpha is the whole multi-index
+    t0 = Tower(2, (1, 1, 1), 0, (0, 0))
+    assert ms.make_op(t0, {(2, (), (), ()): 1}).order == 2
+    with pytest.raises(ValueError, match="has a negative entry"):
+        ms.make_op(t0, {(-1, (), (), ()): 1})
+
+
 def test_weighted_field_validator():
     assert ms.is_weighted_field(
         T, [(3, "x", 1), (2, "y", 1), (1, "z", 1), (0, "w", 1)])
