@@ -21,7 +21,8 @@ Subpackages by concern:
 module loads only what its callers reach.  So ``tower validate`` loads
 ``cli`` and ``tower``; ``act``, ``compose`` and ``parametrix`` add
 ``index_algebra`` and ``op_calculus``, and reach the corner engine only
-past the depth and integrability checks; the model-operator commands add
+past the depth and integrability checks, as the space and weight
+commands do past theirs; the model-operator commands add
 ``model_symbols``, which loads numpy only for float work at depth 2.
 """
 

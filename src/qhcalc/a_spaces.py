@@ -23,7 +23,7 @@ from .corner_spaces import (BlowupSeq, BMap, CenterExpr, Merge, PSub, Space,
                             rewrite_step)
 from .tower import (FAMILIES, TRIPLE_STAGES, Tower,  # noqa: F401
                     double_face_names, family_name, normal_bundle_rank,
-                    parse_family_name, reduce)
+                    parse_family_name, reduce, require_depth_2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +172,8 @@ def _sym_entries(t: Tower, stage: str):
 
 def symmetric_triple_seq(t: Tower, stage: str = "z") -> BlowupSeq:
     """Every triple-space view starts here, so the depth is checked here."""
-    if stage == "z" and t.k != 2:
-        raise ValueError("triple space needs tower depth 2")
+    if stage == "z":
+        require_depth_2(t, "triple")
     if t.k < TRIPLE_STAGES.index(stage):
         raise ValueError(f"triple space stage {stage} needs tower depth "
                          f"{TRIPLE_STAGES.index(stage)}")

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .tower import Tower
+from .tower import Tower, require_depth_2
 
 if TYPE_CHECKING:
     from . import model_symbols as ms
@@ -110,11 +110,12 @@ def cmd_space_double(args):
 
 
 def cmd_space_triple(args):
-    from . import a_spaces as asp
-    from . import corner_spaces as cs
     t = _load_tower(args.config)
     if args.format == "dot":
         return 0, _dot(t, "triple")
+    require_depth_2(t, "triple")
+    from . import a_spaces as asp
+    from . import corner_spaces as cs
     trip = asp.triple_space(t)
     bij = asp.triple_constructions_isomorphic(t)
     data = {"faces": list(trip.space.face_names),
@@ -146,10 +147,11 @@ def cmd_facemap_verify(args):
 
 
 def cmd_weights(args):
-    from . import densities as dn
-    from . import index_algebra as ia
     t = _load_tower(args.config)
     count = _nonnegative("--sweep", args.sweep)
+    require_depth_2(t, "weights")
+    from . import densities as dn
+    from . import index_algebra as ia
     gam = dn.gamma(t)
     dw = dn.double_weights(t)
     tw = dn.triple_weights(t)
@@ -392,6 +394,8 @@ def cmd_resolvent_check(args):
 
 def _dot(t: Tower, which: str) -> str:
     """Face lattice; the triple space is its symmetric replay alone."""
+    if which == "triple":
+        require_depth_2(t, "triple")
     from . import a_spaces as asp
     from . import corner_spaces as cs
     if which == "double":

@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import a_spaces as asp
 from .corner_spaces import Space, blowup_weights
 from .index_algebra import WeightVector, pullback_weights
-from .tower import TRIPLE_STAGES, Tower, family_name
+from .tower import TRIPLE_STAGES, Tower, family_name, require_depth_2
 
 
 def gamma(t: Tower) -> tuple:
@@ -51,8 +51,7 @@ def double_weights(t: Tower) -> DoubleWeights:
     With gamma_0 = 0: w_a0 is gamma_j on ff_j, w_a = -w_a0, and w_tilde
     is -gamma_k on rf and lf and gamma_j - 2 gamma_k on ff_j.
     """
-    if t.k != 2:
-        raise ValueError("weight tables need tower depth 2")
+    require_depth_2(t, "weights")
     g = (0,) + gamma(t)
     ffs = asp.double_face_names(t.k)[2:]
     w_a0 = WeightVector(dict(zip(ffs, g)))

@@ -14,14 +14,15 @@ takes its closed-form spectrum, and every other operator the grid
 sweep.  The sweep compiles the boundary family once: at the base point
 0 every phase is trivial, so the family is a polynomial in the conormal
 parameter whose matrix coefficients are assembled exactly, by the same
-mode rule as ``normal_family_matrix``, and then converted to complex
-arrays.  The grid is evaluated with numpy in chunks of bounded size,
-one batched SVD per chunk, and the witness is the first grid point, in
-``itertools.product`` order, that attains the minimum.
-Model operators live on depth-2 towers; other depths are rejected with
-a ``ValueError``.  numpy is imported by the functions that do float work,
-each of which runs only after the depth is checked, so the exact paths
-and every rejected depth run without it.
+kernel as ``normal_family_matrix``, which sums plain ints over one
+common denominator and builds one Gaussian rational per nonzero value,
+and then converted to complex arrays.  The grid is evaluated with numpy
+in chunks of bounded size, one batched SVD per chunk, and the witness
+is the first grid point, in ``itertools.product`` order, that attains
+the minimum.  Model operators live on depth-2 towers; other depths are
+rejected with a ``ValueError``.  numpy is imported by the functions
+that do float work, each of which runs only after the depth is checked,
+so the exact paths and every rejected depth run without it.
 """
 
 from __future__ import annotations
@@ -640,39 +641,61 @@ class NormalFamilyMatrix:
         return all(r == c for (r, c) in self.entries)
 
 
-def _truncated_modes(P: ADiffOp, N: int, sw: slice) -> tuple:
-    """Deep-fibre modes of sup-norm <= N, once N dominates the support."""
-    support = max((abs(q) for _, c in P.terms for (n, m, w) in c if n == 0
-                   for q in m[sw]), default=0)
+MAX_MODES = 1 << 16     # most modes, (2N + 1)^f2, of a truncation
+
+
+def _truncated_modes(t: Tower, N: int, terms: tuple = ()) -> tuple:
+    """Deep-fibre modes of sup-norm <= N, once N dominates the terms'
+    coefficient support; more than MAX_MODES are rejected unbuilt."""
+    f2 = model_dims(t)[2]
+    support = max((abs(q) for _, c in terms for (n, m, w) in c if n == 0
+                   for q in m[len(m) - f2:]), default=0)
     if support > N:
         raise ValueError(
             f"truncation {N} below coefficient mode support {support}")
-    return tuple(itertools.product(range(-N, N + 1), repeat=P.tower.f[1]))
+    # for N >= 1 the count passes MAX_MODES once f2 reaches its bit length
+    if (2 * N + 1) ** min(f2, MAX_MODES.bit_length()) > MAX_MODES:
+        raise ValueError(f"truncation {N} exceeds {MAX_MODES} modes, "
+                         f"(2N + 1)^f2 with f2 = {f2}")
+    return tuple(itertools.product(range(-N, N + 1), repeat=f2))
 
 
-def _mode_entries(c: Coeff, K: tuple, modes: tuple, N: int, sw: slice):
-    """Boundary entries of one term c * D_w^K on the truncated modes.
+def _mode_sums(coeffs: list, modes: tuple, N: int) -> dict:
+    """Exact boundary entries on the truncated modes, summed by group.
 
-    For each x^0 coefficient (m, w) -> v and each column mode, the
-    deep-fibre modes of m shift the column to the row mode, rows past the
-    truncation are dropped, and D_w^K multiplies by (angle * col)^K.
-    Yields (m, row, col, angle power, K-factor, v); entries whose K-factor
-    vanishes are skipped.
+    `coeffs` lists (group, K, m_w, v) in term order: an x^0 coefficient
+    v of a term c * D_w^K, times any monomial the caller folds in.  m_w
+    shifts each column to its row, rows past N drop out, and D_w^K
+    multiplies by col^K.  v is scaled to a Gaussian integer over one
+    common denominator, K-factors and in-window pairs are computed once
+    each, and a sum of 0 is dropped as `_Sparse.acc` drops it.  Returns
+    {(row, col): {group: CxRat}}, groups in accumulation order.
     """
-    dk = sum(K)
-    for (n, m, w), v in c.items():
-        if n != 0:
-            continue
-        mw = m[sw]
-        for col in modes:
-            row = tuple(cc + dd for cc, dd in zip(col, mw))
-            if any(abs(r) > N for r in row):
-                continue
-            kfac = 1
-            for q, k in zip(col, K):
-                kfac *= q ** k
-            if kfac:
-                yield m, row, col, w + dk, kfac, v
+    D = math.lcm(*(x.denominator for *_, v in coeffs for x in (v.re, v.im)))
+    kfacs, pairs, sums = {}, {}, {}
+    for g, K, mw, v in coeffs:
+        if K not in kfacs:
+            kfacs[K] = [math.prod(q ** k for q, k in zip(col, K))
+                        for col in modes]
+        if mw not in pairs:
+            pairs[mw] = [(i, (row, col)) for i, col in enumerate(modes)
+                         for row in [tuple(q + d for q, d in zip(col, mw))]
+                         if all(-N <= r <= N for r in row)]
+        kf = kfacs[K]
+        vr, vi = (x.numerator * (D // x.denominator) for x in (v.re, v.im))
+        for i, key in pairs[mw]:
+            if kf[i]:
+                ent = sums.setdefault(key, {})
+                re, im = ent.get(g, (0, 0))
+                re, im = re + vr * kf[i], im + vi * kf[i]
+                if re or im:
+                    ent[g] = re, im
+                else:
+                    del ent[g]
+    return {key: {g: CxRat(Fraction(re, D),
+                           Fraction(im, D) if im else ZERO.im)
+                  for g, (re, im) in ent.items()}
+            for key, ent in sums.items() if ent}
 
 
 def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
@@ -681,7 +704,9 @@ def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
     Coefficients are frozen at the boundary and at the base point; a
     deep-fibre trig factor shifts the column mode, a deep-fibre
     derivative multiplies by (angle * mode).  Truncation must dominate
-    the coefficient mode support.  This exact per-point assembly is the
+    the coefficient mode support.  ``_mode_sums`` groups exact entries
+    by angle power, and with phases each (term, x^0 coefficient), summed
+    in floats in term order.  This exact per-point assembly is the
     reference for the compiled family of the grid sweep.
     """
     t = P.tower
@@ -693,29 +718,33 @@ def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
     point = tuple(Fraction(p) for p in point)
     mu = tuple(Fraction(m) for m in mu)
     sy, sz, sw = _mode_slices(t)
-    modes = _truncated_modes(P, N, sw)
+    modes = _truncated_modes(t, N, P.terms)
     phases = {m: sum(mi * pi for mi, pi in zip(m[sy], point[:b]))
               + sum(mi * pi for mi, pi in zip(m[sz], point[b:]))
               for _, c in P.terms for (n, m, w) in c if n == 0}
     exact = all(ph.denominator == 1 for ph in phases.values())
 
-    entries: dict = {}
-    for (alpha, I, J, K), c in P.terms:
+    coeffs = []
+    for i, ((alpha, I, J, K), c) in enumerate(P.terms):
         base = mu[0] ** alpha
         for x, p in zip(mu[1:], I + J):
             base *= x ** p
-        if base == 0:
-            continue
-        for m, row, col, wpow, kfac, v in _mode_entries(c, K, modes, N, sw):
-            val = v * (base * kfac)
-            if exact:
-                entries.setdefault((row, col), PiPoly()).acc(wpow, val)
-                continue
-            phase = float(phases[m])
-            ph = complex(math.cos(TWO_PI * phase), math.sin(TWO_PI * phase))
-            entries[(row, col)] = entries.get((row, col), 0j) \
-                + complex(val.re, val.im) * (TWO_PI ** wpow) * ph
-    entries = {k: v for k, v in entries.items() if v}
+        coeffs += [(w + sum(K) if exact else (i, m, w + sum(K)), K, m[sw],
+                    v * base) for (n, m, w), v in c.items()
+                   if n == 0 and base]
+    sums = _mode_sums(coeffs, modes, N)
+    if exact:
+        entries = {key: PiPoly(ent) for key, ent in sums.items()}
+    else:
+        entries = {}
+        for key, ent in sums.items():
+            z = 0j
+            for (_, m, wpow), v in ent.items():
+                phase = TWO_PI * float(phases[m])
+                z += (complex(v.re, v.im) * (TWO_PI ** wpow)
+                      * complex(math.cos(phase), math.sin(phase)))
+            if z:
+                entries[key] = z
     return NormalFamilyMatrix(t, point, mu, N, modes, entries, exact)
 
 
@@ -813,6 +842,7 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
     the rational and pi^2 parts must match separately).
     """
     b, f1, f2 = model_dims(t)
+    modes = _truncated_modes(t, N)
     import numpy as np
     dim = 1 + b + f1
     n = int(Fraction(radius) / Fraction(step))
@@ -822,8 +852,7 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
     mu2 = np.zeros(1)
     for _ in range(dim):
         mu2 = np.unique(mu2[:, None] + np.unique(axis * axis)[None, :])
-    ks = [np.sum(np.array(k, dtype=float) ** 2)
-          for k in itertools.product(range(-N, N + 1), repeat=f2)]
+    ks = [np.sum(np.array(k, dtype=float) ** 2) for k in modes]
     k2 = np.unique(np.array(ks))
     lam = complex(float(lam_re0) + float(lam_re2) * math.pi ** 2,
                   float(lam_im))
@@ -838,8 +867,9 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
         grid = [step_f * i for i in range(int(Fraction(radius) / step_f) + 1)]
         ok0 = _is_sum_of_squares(target0, dim, grid)
         r2 = Fraction(lam_re2) / 4
-        ok2 = (r2.denominator == 1 and
-               _is_sum_of_squares(int(r2), f2, range(N + 1)))
+        # a mode past the square root of |k|^2 cannot be in a witness
+        ok2 = (r2.denominator == 1 and _is_sum_of_squares(
+            int(r2), f2, range(min(N, math.isqrt(int(r2))) + 1)))
         if ok0 and ok2:
             witness = {"mu_norm_sq": str(target0), "k_norm_sq": str(r2)}
     return {"min_distance": float(dist[arg]),
@@ -976,24 +1006,24 @@ def _compile_family(P: ADiffOp, N: int):
     Every phase is trivial at the base point, so the matrix at
     mu = (tau, eta, zeta) is sum_k (2 pi)^k sum_e mu^e C[k, e], where
     mu^e = tau^alpha eta^I zeta^J runs over the monomials of P's terms.
-    Each C[k, e] is assembled exactly, by the mode rule of
-    ``normal_family_matrix``, and then converted to one complex array.
+    Each C[k, e] is the group (k, e) of ``_mode_sums``, converted to one
+    complex array; a group that cancels on every entry has none.
     Returns the modes and {k: [(e, C[k, e]), ...]} in increasing k.
     """
     import numpy as np
     _, _, sw = _mode_slices(P.tower)
-    modes = _truncated_modes(P, N, sw)
-    exact: dict = {}
-    for (alpha, I, J, K), c in P.terms:
-        for _, row, col, wpow, kfac, v in _mode_entries(c, K, modes, N, sw):
-            ent = exact.setdefault((wpow, (alpha,) + I + J), {})
-            ent[(row, col)] = ent.get((row, col), ZERO) + v * kfac
+    modes = _truncated_modes(P.tower, N, P.terms)
+    sums = _mode_sums([((w + sum(K), (alpha,) + I + J), K, m[sw], v)
+                       for (alpha, I, J, K), c in P.terms
+                       for (n, m, w), v in c.items() if n == 0], modes, N)
     idx = {k: i for i, k in enumerate(modes)}
+    arrays = {g: np.zeros((len(modes), len(modes)), dtype=complex)
+              for g in sorted({g for ent in sums.values() for g in ent})}
+    for (r, c), ent in sums.items():
+        for g, v in ent.items():
+            arrays[g][idx[r], idx[c]] = complex(v.re, v.im)
     family: dict = {}
-    for (wpow, e), ent in sorted(exact.items()):
-        C = np.zeros((len(modes), len(modes)), dtype=complex)
-        for (r, c), v in ent.items():
-            C[idx[r], idx[c]] = complex(v.re, v.im)
+    for (wpow, e), C in arrays.items():
         family.setdefault(wpow, []).append((e, C))
     return modes, family
 

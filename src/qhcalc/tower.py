@@ -88,6 +88,17 @@ def normal_bundle_rank(t: Tower, l: int) -> int:
     return 1 if l == 0 else 1 + t.b + sum(t.f[:l - 1])
 
 
+# the constructions that stop at depth 2, as their depth errors name them
+_DEPTH_2 = {"triple": "triple space needs", "weights": "weight tables need"}
+
+
+def require_depth_2(t: Tower, what: str) -> None:
+    """The one depth check of the triple space and the weight tables; it
+    needs no corner engine, so a command runs it before loading one."""
+    if t.k != 2:
+        raise ValueError(f"{_DEPTH_2[what]} tower depth 2")
+
+
 # ---------------------------------------------------------------------------
 # level letters and face names
 

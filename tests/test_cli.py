@@ -545,10 +545,13 @@ _MODEL = {"index_algebra", "model_symbols"}
 @pytest.mark.parametrize("argv, code, loads", [
     ("tower validate -c {t2}", 0, set()),
     ("space double -c {t2}", 0, _ENGINE),
-    ("space triple -c {t1}", 1, _ENGINE),
+    ("space triple -c {t1}", 1, set()),
+    ("space triple -c {t1} --format dot", 1, set()),
     ("facemap verify -c {t0}", 0, _ENGINE),
     ("export-dot -c {t2}", 0, _ENGINE),
+    ("export-dot -c {t1} --space triple", 1, set()),
     ("weights -c {t2} --sweep 0", 0, _ENGINE | _CLASSES | {"densities"}),
+    ("weights -c {t1}", 1, set()),
     ("compose -c {t2} -P {P} -Q {Q}", 0,
      _ENGINE | _CLASSES | {"densities"}),
     ("compose -c {t2} -P {Pbad} -Q {Qbad}", 1, _CLASSES),
@@ -562,7 +565,8 @@ _MODEL = {"index_algebra", "model_symbols"}
     ("resolvent-check -c {t2} --lambda=-1 --N 1 --radius 1", 0,
      _MODEL | {"numpy"}),
 ], ids=["tower-validate", "space-double", "space-triple-depth-1",
-        "facemap-verify-depth-0", "export-dot", "weights", "compose",
+        "space-triple-dot-depth-1", "facemap-verify-depth-0", "export-dot",
+        "export-dot-triple-depth-1", "weights", "weights-depth-1", "compose",
         "compose-rejected", "compose-depth-1", "act", "parametrix-depth-1",
         "normal-family-depth-1", "normal-family", "normal-family-operator",
         "resolvent-check-depth-1", "resolvent-check"])
@@ -635,6 +639,38 @@ def test_negative_multi_index_is_usage_error(term, tower_file, tmp_path,
                                  str(op), "--N", "1"], capsys)
     assert err.startswith(f"{op}: term 0 is malformed: ")
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["normal-family", "--mu", "1,0,0"], ["resolvent-check", "--lambda=-1"]],
+    ids=["normal-family", "resolvent-check"])
+def test_unbuildable_truncation_is_one_line_domain_error(argv, tmp_path,
+                                                         capsys):
+    # (2N + 1)^2 modes used to be built until memory ran out
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps({"k": 2, "a": [1, 1, 1], "b": 1, "f": [1, 2]}))
+    assert run(argv + ["-c", str(p), "--N", "9999999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "truncation 9999999999 exceeds 65536 modes, (2N + 1)^f2 with "
+        "f2 = 2\n")
+    # 255^2 modes are admitted, 257^2 are not
+    for N, code in ((127, 0), (128, 1)):
+        assert run(["resolvent-check", "-c", str(p), "--lambda=-1",
+                    "--radius", "0", "--N", str(N)]) == code
+    capsys.readouterr()
+
+
+def test_spectrum_witness_search_stops_at_the_square_root(tmp_path, capsys):
+    # without a deep fibre there is one mode at any N; the witness search
+    # used to list the squares of all N + 1 modes
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps({"k": 2, "a": [1, 1, 1], "b": 1, "f": [1, 0]}))
+    assert run(["resolvent-check", "-c", str(p), "--lambda=1", "--radius",
+                "1", "--N", "9999999999"]) == 1
+    assert capsys.readouterr().out == (
+        "rejected: spectral parameter on the model spectrum; witness "
+        "|mu|^2 = 1, |k|^2 = 0\n")
 
 
 @pytest.mark.parametrize("command", ["compose", "act"])

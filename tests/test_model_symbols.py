@@ -221,6 +221,191 @@ def test_normal_family_adjoint_hermitian():
     assert np.allclose(A, A.conj().T)
 
 
+# --- integer mode assembly against the per-entry loop ---------------------
+
+def _ref_mode_entries(c, K, modes, N, sw):
+    """Reference: one (m, row, col, angle power, K-factor, v) per x^0
+    coefficient and in-window column, with a nonzero K-factor."""
+    dk = sum(K)
+    for (n, m, w), v in c.items():
+        if n != 0:
+            continue
+        mw = m[sw]
+        for col in modes:
+            row = tuple(cc + dd for cc, dd in zip(col, mw))
+            if any(abs(r) > N for r in row):
+                continue
+            kfac = 1
+            for q, k in zip(col, K):
+                kfac *= q ** k
+            if kfac:
+                yield m, row, col, w + dk, kfac, v
+
+
+def _ref_normal_family(P, point, mu, N):
+    """Reference: one CxRat product and one CxRat sum per contribution.
+    Also returns how many sums cancelled to 0."""
+    b = P.tower.b
+    point = tuple(Fraction(p) for p in point)
+    mu = tuple(Fraction(m) for m in mu)
+    sy, sz, sw = ms._mode_slices(P.tower)
+    modes = ms._truncated_modes(P.tower, N, P.terms)
+    phases = {m: sum(mi * pi for mi, pi in zip(m[sy], point[:b]))
+              + sum(mi * pi for mi, pi in zip(m[sz], point[b:]))
+              for _, c in P.terms for (n, m, w) in c if n == 0}
+    exact = all(ph.denominator == 1 for ph in phases.values())
+    entries, cancelled = {}, 0
+    for (alpha, I, J, K), c in P.terms:
+        base = mu[0] ** alpha
+        for x, p in zip(mu[1:], I + J):
+            base *= x ** p
+        if base == 0:
+            continue
+        for m, row, col, wpow, kfac, v in _ref_mode_entries(c, K, modes, N,
+                                                            sw):
+            val = v * (base * kfac)
+            if exact:
+                ent = entries.setdefault((row, col), ms.PiPoly())
+                ent.acc(wpow, val)
+                cancelled += wpow not in ent
+                continue
+            phase = float(phases[m])
+            ph = complex(math.cos(ms.TWO_PI * phase),
+                         math.sin(ms.TWO_PI * phase))
+            entries[(row, col)] = entries.get((row, col), 0j) \
+                + complex(val.re, val.im) * (ms.TWO_PI ** wpow) * ph
+    entries = {k: v for k, v in entries.items() if v}
+    return (ms.NormalFamilyMatrix(P.tower, point, mu, N, modes, entries,
+                                  exact), cancelled)
+
+
+def _ref_compile_family(P, N):
+    """Reference: exact sums per (angle power, monomial), then arrays."""
+    _, _, sw = ms._mode_slices(P.tower)
+    modes = ms._truncated_modes(P.tower, N, P.terms)
+    exact = {}
+    for (alpha, I, J, K), c in P.terms:
+        for _, row, col, wpow, kfac, v in _ref_mode_entries(c, K, modes, N,
+                                                            sw):
+            ent = exact.setdefault((wpow, (alpha,) + I + J), {})
+            ent[(row, col)] = ent.get((row, col), cx(0)) + v * kfac
+    idx = {k: i for i, k in enumerate(modes)}
+    family = {}
+    for (wpow, e), ent in sorted(exact.items()):
+        C = np.zeros((len(modes), len(modes)), dtype=complex)
+        for (r, c), v in ent.items():
+            C[idx[r], idx[c]] = complex(v.re, v.im)
+        family.setdefault(wpow, []).append((e, C))
+    return modes, family
+
+
+def _oracle_op(rng, t, N):
+    """Random operator with complex and negative coefficients, deep-fibre
+    shifts up to the truncation edge, and pairs of contributions that
+    cancel on some entries (or, as sin 2 pi y at the base point 0, on
+    all of them)."""
+    b, f1, f2 = ms.model_dims(t)
+
+    def value():
+        return cx(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))),
+                  Fraction(rng.randint(-3, 3), rng.choice((1, 4))))
+
+    def modes():
+        return (tuple(rng.randint(-1, 1) for _ in range(b + f1))
+                + tuple(rng.choice((-N, N, 0, rng.randint(-N, N)))
+                        for _ in range(f2)))
+
+    def multi(K=None):
+        return ((rng.randint(0, 2),)
+                + tuple(tuple(rng.randint(0, 1) for _ in range(n))
+                        for n in (b, f1))
+                + (K if K is not None
+                   else tuple(rng.randint(0, 2) for _ in range(f2)),))
+
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        c = ms.Coeff()
+        for _ in range(rng.randint(1, 3)):
+            c.acc((rng.choice((0, 0, 1)), modes(), rng.randint(0, 1)),
+                  value())
+        terms[multi()] = c
+    v, m = value(), modes()
+    if v.re == 0 and v.im == 0:
+        v = cx(-1, 2)
+    # sin: opposite base or middle modes, one deep shift
+    flip = tuple(-q for q in m[:b + f1]) + m[b + f1:]
+    if flip != m:
+        mu = multi()
+        terms[mu] = terms.get(mu, ms.Coeff()) + ms.Coeff(
+            {(0, m, 0): v, (0, flip, 0): cx(0) - v})
+    if f2:
+        # v q - v q^2 vanishes on the columns with q = 1
+        mu1 = multi((1,) + (0,) * (f2 - 1))
+        mu2 = mu1[:3] + ((2,) + (0,) * (f2 - 1),)
+        terms[mu1] = ms.Coeff({(0, m, 1): v})
+        terms[mu2] = ms.Coeff({(0, m, 0): cx(0) - v})
+    return ms.make_op(t, terms)
+
+
+def test_mode_assembly_matches_per_entry_loop():
+    rng = random.Random(71)
+    checked = cancelled = dropped = 0
+    for (b, f1), f2, N in itertools.product(
+            ((1, 0), (0, 1), (1, 1), (0, 2)), (0, 1, 2), (0, 1, 8)):
+        t = Tower(2, (1, rng.randint(1, 3), rng.randint(1, 3)), b, (f1, f2))
+        P = _oracle_op(rng, t, N)
+        mu = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                   for _ in range(1 + b + f1))
+        for point in ((0,) * (b + f1), (Fraction(1, 3),) * (b + f1)):
+            got = ms.normal_family_matrix(P, point, mu, N)
+            want, n = _ref_normal_family(P, point, mu, N)
+            cancelled += n
+            assert (got.modes, got.exact) == (want.modes, want.exact)
+            assert list(got.entries) == list(want.entries)
+            for key, v in want.entries.items():
+                # exact entries keep the reference's power order too
+                assert (list(got.entries[key].items()) == list(v.items())
+                        if want.exact else got.entries[key] == v)
+            assert got.to_array().tobytes() == want.to_array().tobytes()
+            checked += 1
+        modes, family = ms._compile_family(P, N)
+        ref_modes, ref_family = _ref_compile_family(P, N)
+        assert modes == ref_modes
+        # a group whose entries all cancel has no array; it adds nothing
+        for k, terms in ref_family.items():
+            kept = [(e, C) for e, C in terms if C.any()]
+            dropped += len(terms) - len(kept)
+            assert [(e, C.tobytes()) for e, C in kept] == [
+                (e, C.tobytes()) for e, C in family.get(k, [])]
+        assert set(family) <= set(ref_family)
+    assert checked == 72 and cancelled and dropped
+
+
+def test_potential_matrix_makes_one_cxrat_per_value(monkeypatch):
+    # Laplacian + 1/2 cos(2 pi w_1) at N = 8 and f2 = 2: 289 modes
+    t = Tower(2, (1, 2, 1), 1, (0, 2))
+    terms = dict(ms.model_laplacian(t).terms)
+    terms[ms._mi_zero(t)] = ms.Coeff({(0, (0, 1, 0), 0): cx(Fraction(1, 4)),
+                                      (0, (0, -1, 0), 0): cx(Fraction(1, 4))})
+    P = ms.make_op(t, terms)
+    made = []
+    post_init = ms.CxRat.__post_init__
+
+    def counted(self):
+        made.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(ms.CxRat, "__post_init__", counted)
+    M = ms.normal_family_matrix(P, (0,), (Fraction(1, 2), Fraction(-3, 2)),
+                                8)
+    values = sum(len(v) for v in M.entries.values())
+    coeffs = sum(1 for _, c in P.terms for (n, _, _) in c if n == 0)
+    # |mu|^2 on the diagonal, 4 pi^2 |k|^2 off the zero mode, and the
+    # potential's two shifts on 16 * 17 columns each
+    assert M.dim() == 289 and (values, coeffs) == (289 + 288 + 2 * 272, 6)
+    assert len(made) <= values + coeffs
+
+
 def test_kernel_coeff_check():
     lap = ms.model_laplacian(T)
     out = ms.kernel_coeff_check(lap)
