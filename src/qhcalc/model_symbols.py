@@ -692,10 +692,10 @@ def _mode_sums(coeffs: list, modes: tuple, N: int) -> dict:
                     ent[g] = re, im
                 else:
                     del ent[g]
-    return {key: {g: CxRat(Fraction(re, D),
-                           Fraction(im, D) if im else ZERO.im)
-                  for g, (re, im) in ent.items()}
-            for key, ent in sums.items() if ent}
+    for ent in sums.values():
+        for g, (re, im) in ent.items():
+            ent[g] = CxRat(Fraction(re, D), Fraction(im, D) if im else ZERO.im)
+    return {key: ent for key, ent in sums.items() if ent}
 
 
 def normal_family_matrix(P: ADiffOp, point, mu, N: int) -> NormalFamilyMatrix:
