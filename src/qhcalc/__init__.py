@@ -2,14 +2,14 @@
 
 Subpackages by concern:
 
-* tower: towers of boundary fibrations, reductions, face names;
+* tower: towers of boundary fibrations, reductions, face names and rules;
 * index_algebra: exact index sets, families, weight vectors, pullback
   and pushforward transforms;
 * corner_spaces: combinatorial corner spaces, quasihomogeneous blowups,
   b-maps and exponent matrices, blowup commutation rewrites;
-* a_spaces: double and triple spaces, projection face tables,
+* a_spaces: double and triple spaces, the verifier of the closed rules,
   coordinate-change admissibility (re-exports ``tower``);
-* densities: density weight vectors on the double and triple spaces;
+* densities: closed-form weight vectors on the double and triple spaces;
 * op_calculus: operator classes, composition and mapping rules,
   parametrix remainder ledger, compactness thresholds;
 * model_symbols: exact model operators on flat-torus fibres, symbol and
@@ -20,10 +20,10 @@ Subpackages by concern:
 (``qhcalc.Tower``, ``qhcalc.a_spaces``, or an import of it), and a
 module loads only what its callers reach.  So ``tower validate`` loads
 ``cli`` and ``tower``; ``act``, ``compose`` and ``parametrix`` add
-``index_algebra`` and ``op_calculus``, and reach the corner engine only
-past the depth and integrability checks, as the space and weight
-commands do past theirs; the model-operator commands add
-``model_symbols``, which loads numpy only for float work at depth 2.
+``index_algebra`` and ``op_calculus``, and ``densities`` past the depth
+and integrability checks, as ``weights`` does; the corner engine loads
+for the space commands and ``facemap verify`` alone; the model-operator
+commands add ``model_symbols``, which loads numpy only at depth 2.
 """
 
 from importlib import import_module

@@ -4,11 +4,12 @@ Towers and their face names live in ``tower`` and are re-exported here,
 with the coordinate-change rules of a tower.  The double space resolves
 the chain of partial diagonals of a two-factor product; the triple space
 resolves the full diagram of partial diagonals of a three-factor product,
-level by level (twenty-one steps at depth 2, where the commands stop).
-Projections to the double space are obtained by commuting the symmetric
-blowup sequence, through certified rewrite steps and by a loop over
-levels, into one that starts with a single-factor times double-space
-prefix; their face tables are checked against a closed rule.
+level by level (twenty-one steps at depth 2).  Projections to the double
+space are obtained by commuting the symmetric blowup sequence, through
+certified rewrite steps and by a loop over levels, into one that starts
+with a single-factor times double-space prefix.  The commands read the
+closed rules of ``tower`` and ``densities``; ``verify_facemaps`` checks
+them against this construction.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .corner_spaces import (BlowupSeq, BMap, CenterExpr, Merge, PSub, Space,
                             bmap_from_entries, bubble_to, compose, replay,
                             rewrite_step)
 from .tower import (FAMILIES, TRIPLE_STAGES, Tower,  # noqa: F401
-                    double_face_names, family_name, normal_bundle_rank,
-                    parse_family_name, reduce, require_depth_2)
+                    double_face_names, facemap_rule, family_name,
+                    normal_bundle_rank, parse_family_name, reduce,
+                    require_depth_2, triple_face_names)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +144,9 @@ def exponent_vector(proj: BMap, faces: Sequence[str]) -> tuple:
 # ---------------------------------------------------------------------------
 # triple space: symmetric and commuted constructions
 
-PAIR_OF = {1: frozenset({2, 3}), 2: frozenset({1, 3}), 3: frozenset({1, 2})}
-
-
 def _sym_entries(t: Tower, stage: str):
-    """Symmetric blowup sequence up to the requested stage.
+    """Symmetric blowup sequence up to the requested stage, one center
+    per face of ``triple_face_names`` after H_1..H_3.
 
     Level l blows up, each to order a_l: the triple diagonal V_l, the
     pair-diagonal family new at l (inside V_{l-1}, or in the corners of
@@ -154,19 +154,18 @@ def _sym_entries(t: Tower, stage: str):
     earlier family, newest first.
     """
     entries = []
-    for l in range(TRIPLE_STAGES.index(stage) + 1):
-        prev = (f"V_{TRIPLE_STAGES[l - 1]}",) if l else ()
-        level = [(f"V_{TRIPLE_STAGES[l]}", prev or ("H_1", "H_2", "H_3"),
-                  {1, 2, 3})]
-        for i in (1, 2, 3):
-            inside = prev or tuple(f"H_{j}" for j in sorted(PAIR_OF[i]))
-            level.append((family_name(l, i, l), inside, PAIR_OF[i]))
-        level += [(family_name(c, i, l), (family_name(c, i, l - 1),),
-                   PAIR_OF[i])
-                  for c in range(l - 1, -1, -1) for i in (1, 2, 3)]
-        entries += [CenterExpr(name, faces, Merge.diag(fs, l - 1) if l
-                               else Merge.trivial(), t.orders[l])
-                    for name, faces, fs in level]
+    for name in triple_face_names(TRIPLE_STAGES.index(stage))[3:]:
+        fam = parse_family_name(name)
+        c, i, l = fam or (None, None, TRIPLE_STAGES.index(name[2:]))
+        fs = {1, 2, 3} - {i}        # the factors the center merges
+        if fam and c < l:
+            inside = (family_name(c, i, l - 1),)
+        elif l:
+            inside = (f"V_{TRIPLE_STAGES[l - 1]}",)
+        else:
+            inside = tuple(f"H_{j}" for j in sorted(fs))
+        entries.append(CenterExpr(name, inside, Merge.diag(fs, l - 1) if l
+                                  else Merge.trivial(), t.orders[l]))
     return entries
 
 
@@ -307,49 +306,46 @@ def face_table(proj: BMap) -> dict:
     return {k: tuple(sorted(v)) for k, v in out.items()}
 
 
-def facemap_rule(stage: str, i: int) -> dict:
-    """Face table of projection i at a stage, by the closed rule.
-
-    H_i maps into the interior and the other two H faces onto lf and rf
-    in factor order.  V_l and the index-i face of every family at level
-    l go to ff_l.  The other faces of the family new at level 0 go to lf
-    or rf by their retained factor; those of a family new at level
-    c >= 1 go to ff_{c-1}.
-    """
-    level = TRIPLE_STAGES.index(stage)
-    faces = double_face_names(level)
-    ff = faces[2:]
-    side = dict(zip(sorted({1, 2, 3} - {i}), ("lf", "rf")))
-    out = {h: [] for h in faces + ("interior",)}
-    for j in (1, 2, 3):
-        out[side.get(j, "interior")].append(f"H_{j}")
-    for l in range(level + 1):
-        out[ff[l]].append(f"V_{TRIPLE_STAGES[l]}")
-        for c in range(l + 1):
-            for j in (1, 2, 3):
-                h = ff[l] if j == i else ff[c - 1] if c else side[6 - i - j]
-                out[h].append(family_name(c, j, l))
-    return {h: tuple(sorted(v)) for h, v in out.items()}
-
-
 def verify_facemaps(t: Tower) -> dict:
     """Compare the replayed face table of every stage and index with
-    ``facemap_rule``.  Returns a report with any mismatches."""
+    ``facemap_rule``; at depth 2, compare the blowup weights of the
+    replayed spaces, and the triple ones plus the pullbacks of w0 along
+    the three projections, with the closed forms of ``densities``."""
     report = {"tables": 0, "mismatches": []}
     # the full triple space (stage z) exists at depth 2 only
     deepest = 2 if t.k == 2 else min(t.k, 1)
     for stage in TRIPLE_STAGES[:deepest + 1]:
         trip = triple_space(t, stage)
         for i in (1, 2, 3):
-            got = face_table(trip.projections[i - 1])
-            want = facemap_rule(stage, i)
             report["tables"] += 1
-            for h in sorted(set(got) | set(want)):
-                if tuple(got.get(h, ())) != tuple(want.get(h, ())):
-                    report["mismatches"].append(
-                        {"stage": stage, "projection": i, "face": h,
-                         "got": got.get(h, ()), "want": want.get(h, ())})
+            report["mismatches"] += _mismatches(
+                {"stage": stage, "projection": i},
+                face_table(trip.projections[i - 1]), facemap_rule(stage, i),
+                ())
+    if t.k == 2:                    # trip is the stage-z space
+        from . import densities as dn
+        from . import index_algebra as ia
+        W_a0 = ia.WeightVector(cs.blowup_weights(trip.space))
+        w0 = dn.triple_weights(t).w0
+        W_a = sum((ia.pullback_weights(p, w0) for p in trip.projections),
+                  W_a0)
+        w_a0 = ia.WeightVector(cs.blowup_weights(double_space(t).space))
+        for vector, got, want in (
+                ("w_a0", w_a0, dn.double_weights(t).w_a0),
+                ("W_a0", W_a0, dn.expected_triple_w_a0(t)),
+                ("W_a", W_a, dn.cross_checked_w_a(t))):
+            report["mismatches"] += _mismatches(
+                {"vector": vector}, ia.weights_to_json(got),
+                ia.weights_to_json(want), "0/1")
     return report
+
+
+def _mismatches(where: dict, got: dict, want: dict, missing) -> list:
+    """One record per face where two tables differ."""
+    return [{**where, "face": h, "got": got.get(h, missing),
+             "want": want.get(h, missing)}
+            for h in sorted(set(got) | set(want))
+            if got.get(h, missing) != want.get(h, missing)]
 
 
 CANONICAL_TOWER = Tower(2, (1, 1, 1), 1, (1, 1))
@@ -368,25 +364,20 @@ def relabel_projection(p1: BMap, i: int) -> BMap:
 
 
 @lru_cache(maxsize=None)
-def canonical_triple() -> ASpaceTriple:
-    """The depth-2 triple space whose combinatorics every tower shares.
-    Projections 2 and 3 are relabellings of the replayed projection 1;
-    ``triple_space`` replays all three, which checks that symmetry."""
-    t, dbl = CANONICAL_TOWER, double_space(CANONICAL_TOWER)
-    space, _ = replay(symmetric_triple_seq(t))
-    p1 = _triple_projection(t, "z", 1, space, dbl)
-    return ASpaceTriple(space, (p1,) + tuple(
-        relabel_projection(p1, i) for i in (2, 3)))
-
-
 def triple_projection_tables() -> tuple:
     """The three projection b-maps of the canonical triple space.
 
     The face combinatorics of the triple space does not depend on the
     tower's orders or dimensions (only weights do), so the canonical
-    construction serves every tower.
+    construction stands for every depth-2 tower as the engine's
+    reference.  Projections 2 and 3 are relabellings of the replayed
+    projection 1; ``triple_space`` replays all three, which checks that
+    symmetry.
     """
-    return canonical_triple().projections
+    t, dbl = CANONICAL_TOWER, double_space(CANONICAL_TOWER)
+    space, _ = replay(symmetric_triple_seq(t))
+    p1 = _triple_projection(t, "z", 1, space, dbl)
+    return (p1,) + tuple(relabel_projection(p1, i) for i in (2, 3))
 
 
 def triple_constructions_isomorphic(t: Tower, stage: str = "z"):

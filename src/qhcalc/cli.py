@@ -139,11 +139,13 @@ def cmd_facemap_verify(args):
     code = DOMAIN_ERROR if rep["mismatches"] else 0
     if args.format == "json":
         return code, rep
-    return code, "\n".join(
-        [f"{rep['tables']} tables, {len(rep['mismatches'])} mismatches"]
-        + [f"  stage {m['stage']} projection {m['projection']} "
-           f"face {m['face']}: got {m['got']}, want {m['want']}"
-           for m in rep["mismatches"]])
+    lines = [f"{rep['tables']} tables, {len(rep['mismatches'])} mismatches"]
+    for m in rep["mismatches"]:
+        where = m.get("vector") or (f"stage {m['stage']} "
+                                    f"projection {m['projection']}")
+        lines.append(f"  {where} face {m['face']}: got {m['got']}, "
+                     f"want {m['want']}")
+    return code, "\n".join(lines)
 
 
 def cmd_weights(args):

@@ -1121,32 +1121,6 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
     raise ValueError("rule must be 1, 2 or 3")
 
 
-def seq_to_json(seq: BlowupSeq) -> list:
-    """Blowup script serialization: one entry per step."""
-    out = []
-    for e in seq.entries:
-        interior = [{"factors": sorted(b), "level": l}
-                    for l, blks in e.merge.blocks for b in sorted(blks, key=sorted)]
-        out.append({"label": e.label,
-                    "center": {"faces": list(e.faces), "interior": interior},
-                    "order": e.order})
-    return out
-
-
-def seq_from_json(base: Space, data) -> BlowupSeq:
-    entries = []
-    for item in data:
-        c = item["center"]
-        by_level = {}
-        for blk in c.get("interior", []):
-            by_level.setdefault(int(blk["level"]), []).append(
-                frozenset(int(i) for i in blk["factors"]))
-        merge = Merge(tuple((l, _partition(bs)) for l, bs in by_level.items()))
-        entries.append(CenterExpr(item["label"], tuple(c["faces"]), merge,
-                                  int(item.get("order", 1))))
-    return BlowupSeq(base, tuple(entries))
-
-
 def bubble_to(seq: BlowupSeq, label: str, target: int) -> BlowupSeq:
     """Move the labeled entry to the target index by adjacent swaps
     of certified-disjoint centers (rule 1)."""

@@ -1,11 +1,13 @@
-"""Density weight vectors on the double and triple spaces.
+"""Density weight vectors on the double and triple spaces, in closed form.
 
 Weights record how a lifted b-density differs from a b-density on the
 blown-up space: each blowup of order a whose center has interior rank m
 contributes a*m at its front face, and previously acquired weights lift
-along the blowdown.  The closed forms are cross-checked against this
-first-principles computation, and the composition weight vector on the
-triple space is assembled from the projection face tables.
+along the blowdown.  This module states the results of that computation
+as closed forms in the front-face weights gamma_l and needs no corner
+engine.  ``a_spaces.verify_facemaps`` (``facemap verify``) compares them
+with the engine's blowup weights and, for the composition weight vector,
+with the pullback sum along the replayed triple projections.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import a_spaces as asp
-from .corner_spaces import Space, blowup_weights
-from .index_algebra import WeightVector, pullback_weights
-from .tower import TRIPLE_STAGES, Tower, family_name, require_depth_2
+from .index_algebra import WeightVector
+from .tower import (TRIPLE_STAGES, Tower, double_face_names, family_name,
+                    require_depth_2)
 
 
 def gamma(t: Tower) -> tuple:
@@ -31,11 +32,6 @@ def gamma(t: Tower) -> tuple:
     return tuple(out)
 
 
-def blowup_weight_vector(space: Space) -> WeightVector:
-    """First-principles lifted-b-density weights from the blowup history."""
-    return WeightVector(blowup_weights(space))
-
-
 @dataclass(frozen=True)
 class DoubleWeights:
     w_a0: WeightVector      # lifts of b-densities on the square
@@ -45,24 +41,18 @@ class DoubleWeights:
 
 @lru_cache(maxsize=1024)
 def double_weights(t: Tower) -> DoubleWeights:
-    """Closed-form double-space weights, with the lifted-b-density vector
-    verified against the cumulative blowup computation.
+    """Closed-form double-space weights.
 
     With gamma_0 = 0: w_a0 is gamma_j on ff_j, w_a = -w_a0, and w_tilde
     is -gamma_k on rf and lf and gamma_j - 2 gamma_k on ff_j.
     """
     require_depth_2(t, "weights")
     g = (0,) + gamma(t)
-    ffs = asp.double_face_names(t.k)[2:]
+    ffs = double_face_names(t.k)[2:]
     w_a0 = WeightVector(dict(zip(ffs, g)))
     w_a = -w_a0
     w_tilde = WeightVector({"rf": -g[-1], "lf": -g[-1],
                             **{ff: gj - 2 * g[-1] for ff, gj in zip(ffs, g)}})
-    first = blowup_weight_vector(asp.double_space(t).space)
-    if first != w_a0:
-        raise AssertionError(
-            f"double-space weight cross-check failed: {first.assignment} "
-            f"vs {w_a0.assignment}")
     return DoubleWeights(w_a0, w_a, w_tilde)
 
 
@@ -110,39 +100,15 @@ def displayed_w_a(t: Tower) -> WeightVector:
     return WeightVector(out)
 
 
-def triple_w_a0(t: Tower) -> WeightVector:
-    """Cumulative blowup weights on the triple space for this tower.
-
-    The canonical construction supplies the combinatorics (centers and
-    their merge data); the tower supplies orders and dimensions for each
-    step's contribution.
-    """
-    return WeightVector(blowup_weights(asp.canonical_triple().space,
-                                       t.orders, {-1: 1, **t.level_dims()}))
-
-
 @lru_cache(maxsize=1024)
 def triple_weights(t: Tower) -> TripleWeights:
-    """Triple-space weights from first principles.
-
-    W_a0 comes from cumulative blowup ranks and must match the closed
-    form of ``expected_triple_w_a0``.  W_a is W_a0 plus the sum of the
-    pullbacks of half the double-space weight difference along the three
-    projections; the result must equal the cross-checked closed form.
-    """
+    """Closed-form triple-space weights: W_a0 is ``expected_triple_w_a0``
+    and W_a, which is W_a0 plus the sum of the pullbacks of w0 along the
+    three projections, is ``cross_checked_w_a``."""
     dw = double_weights(t)
-    W_a0 = triple_w_a0(t)
-    if W_a0 != expected_triple_w_a0(t):
-        raise AssertionError("triple-space weight cross-check failed")
     w0 = WeightVector({f: (dw.w_a[f] - dw.w_a0[f]) / 2
-                       for f in asp.double_face_names(2)})
-    W_a = W_a0
-    for proj in asp.triple_projection_tables():
-        W_a = W_a + pullback_weights(proj, w0)
-    if W_a != cross_checked_w_a(t):
-        raise AssertionError("pullback-sum weight vector does not match "
-                             "the cross-checked closed form")
-    return TripleWeights(W_a0, W_a, w0)
+                       for f in double_face_names(2)})
+    return TripleWeights(expected_triple_w_a0(t), cross_checked_w_a(t), w0)
 
 
 def weight_discrepancy_report(t: Tower) -> str:

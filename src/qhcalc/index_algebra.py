@@ -322,12 +322,6 @@ def family(faces: Sequence[str], **sets) -> IndexFamily:
     return IndexFamily(tuple(faces), {f: sets.get(f, EMPTY) for f in faces})
 
 
-def family_add(E: IndexFamily, F: IndexFamily) -> IndexFamily:
-    if E.faces != F.faces:
-        raise ValueError("families live on different face lists")
-    return IndexFamily(E.faces, {f: add(E[f], F[f]) for f in E.faces})
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Rational weight per face, defaulting to zero."""
@@ -361,11 +355,6 @@ class WeightVector:
 
 def weights(**assignment) -> WeightVector:
     return WeightVector(assignment)
-
-
-def family_shift(E: IndexFamily, w: WeightVector) -> IndexFamily:
-    """Shift every face's index set by the face's weight."""
-    return IndexFamily(E.faces, {f: shift(E[f], w[f]) for f in E.faces})
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +468,3 @@ def family_from_json(faces: Sequence[str], data: Mapping) -> IndexFamily:
 
 def weights_to_json(w: WeightVector) -> dict:
     return {f: _frac_str(v) for f, v in sorted(w.assignment.items())}
-
-
-def weights_from_json(data: Mapping) -> WeightVector:
-    return WeightVector({f: Fraction(v) for f, v in data.items()})

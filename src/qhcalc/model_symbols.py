@@ -207,10 +207,6 @@ def _mi_zero(t: Tower) -> MultiIndex:
     return _mi(0, *((0,) * n for n in model_dims(t)))
 
 
-def identity_op(t: Tower) -> ADiffOp:
-    return make_op(t, {_mi_zero(t): 1})
-
-
 def generator(t: Tower, kind: str, index: int = 0) -> ADiffOp:
     """Single weighted generator: kind in {x, y, z, w}."""
     mu = _mi_zero(t)
@@ -660,6 +656,19 @@ def _truncated_modes(t: Tower, N: int, terms: tuple = ()) -> tuple:
     return tuple(itertools.product(range(-N, N + 1), repeat=f2))
 
 
+MAX_GRID_AXIS = 1 << 8  # most values, 2 radius/step + 1, of a grid axis
+
+
+def _grid_half_width(radius, step) -> int:
+    """n of the grid axis step * (-n .. n); an axis of more than
+    MAX_GRID_AXIS values is rejected unbuilt."""
+    n = int(Fraction(radius) / Fraction(step))
+    if 2 * n + 1 > MAX_GRID_AXIS:
+        raise ValueError(f"grid of radius {radius} and step {step} exceeds "
+                         f"{MAX_GRID_AXIS} values per axis, 2 radius/step + 1")
+    return n
+
+
 def _mode_sums(coeffs: list, modes: tuple, N: int) -> dict:
     """Exact boundary entries on the truncated modes, summed by group.
 
@@ -842,10 +851,10 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
     the rational and pi^2 parts must match separately).
     """
     b, f1, f2 = model_dims(t)
+    n = _grid_half_width(radius, step)
     modes = _truncated_modes(t, N)
     import numpy as np
     dim = 1 + b + f1
-    n = int(Fraction(radius) / Fraction(step))
     axis = np.array([float(Fraction(step) * i) for i in range(-n, n + 1)])
     # the distinct grid values of |mu|^2, summed axis by axis in the
     # order a grid sum would use: at most dim * n^2 + 1 values
@@ -864,7 +873,7 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
         # exact membership: need |mu|^2 = lam_re0 and |k|^2 = lam_re2
         step_f = Fraction(step)
         target0 = Fraction(lam_re0)
-        grid = [step_f * i for i in range(int(Fraction(radius) / step_f) + 1)]
+        grid = [step_f * i for i in range(n + 1)]
         ok0 = _is_sum_of_squares(target0, dim, grid)
         r2 = Fraction(lam_re2) / 4
         # a mode past the square root of |k|^2 cannot be in a witness
@@ -1035,11 +1044,11 @@ _SWEEP_CHUNK_BYTES = 1 << 21
 
 def _grid_min_singular(P: ADiffOp, lam: complex, N: int, radius, step):
     """Grid minimum of the family's smallest singular value, and witness."""
+    n = _grid_half_width(radius, step)
     import numpy as np
     modes, family = _compile_family(P, N)
     d = len(modes)
     dim = 1 + P.tower.b + P.tower.f[0]
-    n = int(Fraction(radius) / Fraction(step))
     axis = [Fraction(step) * i for i in range(-n, n + 1)]
     top = max((max(e) for terms in family.values() for e, _ in terms),
               default=0)

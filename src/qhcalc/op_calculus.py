@@ -5,16 +5,16 @@ double-space faces.  Composition transforms the two families through the
 triple space: pull back along the outer projections, add the composition
 weight vector, push forward along the middle projection, and shift back
 by the double-space weights.  ``composition_plan`` derives that pipeline
-once from the triple projections, so ``compose`` runs one sum per
-distinct pair of factor faces, one shift per triple face and one
-extended union per double face; the full pullback and pushforward
-pipeline of ``index_algebra`` is kept as the test oracle for the plan.
-The deepest-face closed form, the mapping rule for polyhomogeneous
-inputs, adjoints, conjugation, the parametrix remainder ledger and the
-compactness thresholds are all stated at this class level.  The triple
-space and the weights are imported only past the depth and
-integrability checks, so a rejected composition and ``act`` never load
-the corner engine.
+once from the closed face-table rule of the triple projections, so
+``compose`` runs one sum per distinct pair of factor faces, one shift
+per triple face and one extended union per double face; the full
+pullback and pushforward pipeline of ``index_algebra`` along the
+replayed projections is kept as the test oracle for the plan.  The
+deepest-face closed form, the mapping rule for polyhomogeneous inputs,
+adjoints, conjugation, the parametrix remainder ledger and the
+compactness thresholds are all stated at this class level.  Nothing
+here loads the corner engine, and the closed-form weights are imported
+only past the depth and integrability checks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from . import index_algebra as ia
 from .index_algebra import (EMPTY, INF, SMOOTH, IndexFamily, IndexSet, add,
                             ext_union_many, family, inf_re, make, shift)
-from .tower import Tower, double_face_names
+from .tower import Tower, double_face_names, facemap_rule, triple_face_names
 
 NEG_INF = -math.inf
 DOUBLE_FACES = double_face_names(2)
@@ -102,25 +102,23 @@ def _require_integrable(G: IndexSet, H: IndexSet, where: str) -> None:
 
 @lru_cache(maxsize=1)
 def composition_plan() -> tuple:
-    """The composition pipeline compiled from the triple projections.
+    """The composition pipeline compiled from the triple face tables.
 
-    A triple face g pulls back the P faces h with pi_3(g, h) = 1 and the
-    Q faces with pi_1(g, h) = 1 (no face gives the smooth set).  Returns
-    (pairs, null, terms): the distinct (P faces, Q faces) pairs; the
-    faces with a zero pi_2 row, which map onto the whole double space
-    and carry the integrability check; and for each double face h the
-    faces g with pi_2(g, h) = 1.  Faces come as (g, pair); every
-    projection exponent is 0 or 1, so no exponent is scaled or divided.
+    Each triple projection maps a face into at most one double face with
+    exponent 1, so its table is ``facemap_rule("z", i)``.  A triple face
+    g pulls back the P face pi_3(g) and the Q face pi_1(g) (no face gives
+    the smooth set).  Returns (pairs, null, terms): the distinct (P
+    faces, Q faces) pairs; the faces pi_2 maps into the interior, which
+    map onto the whole double space and carry the integrability check;
+    and for each double face h the faces g with pi_2(g) = h.  Faces come
+    as (g, pair) in the blowup order of ``triple_face_names``.
     """
-    from . import a_spaces as asp
-    pi1, pi2, pi3 = asp.triple_projection_tables()
-
-    def over(pi, g):
-        return tuple(h for h in DOUBLE_FACES if pi.exponent(g, h))
-
-    faces = [(g, (over(pi3, g), over(pi1, g))) for g in pi2.domain_faces]
-    null = tuple((g, pq) for g, pq in faces if not over(pi2, g))
-    terms = {h: tuple((g, pq) for g, pq in faces if pi2.exponent(g, h))
+    pi1, pi2, pi3 = ({g: (h,) for h in DOUBLE_FACES
+                      for g in facemap_rule("z", i)[h]} for i in (1, 2, 3))
+    faces = [(g, (pi3.get(g, ()), pi1.get(g, ())))
+             for g in triple_face_names(2)]
+    null = tuple((g, pq) for g, pq in faces if g not in pi2)
+    terms = {h: tuple((g, pq) for g, pq in faces if pi2.get(g) == (h,))
              for h in DOUBLE_FACES}
     pairs = tuple(dict.fromkeys(pq for _, pq in faces))
     return pairs, null, terms
@@ -311,7 +309,7 @@ def parametrix_ledger(t: Tower, m, max_power: int = 5) -> Ledger:
 
 
 # ---------------------------------------------------------------------------
-# compactness predicates and order bookkeeping
+# compactness predicates
 
 def compact(p, k) -> bool:
     """Compactness threshold: positive boundary weight, negative order."""
@@ -329,21 +327,6 @@ def hilbert_schmidt(p, k, t: Tower) -> bool:
     gz = dn.gamma(t)[-1]
     return (Fraction(p) > Fraction(gz - 1, 2)
             and Fraction(k) < Fraction(-t.dim, 2))
-
-
-def order_convention_identity(t: Tower, m, mp) -> bool:
-    """Quarter-power bookkeeping of the composition order.
-
-    Pulling back to the triple space costs a quarter of the dimension
-    jump for each factor; the product pushes forward with a quarter of
-    the target dimension, recovering the sum of the orders.
-    """
-    n = Fraction(t.dim)
-    m, mp = Fraction(m), Fraction(mp)
-    dim2, dim3 = 2 * n, 3 * n
-    pulled = (m - Fraction(1, 4) * (dim3 - dim2)) \
-        + (mp - Fraction(1, 4) * (dim3 - dim2))
-    return pulled + Fraction(1, 4) * dim2 == m + mp
 
 
 # ---------------------------------------------------------------------------

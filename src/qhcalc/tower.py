@@ -1,10 +1,11 @@
 """Towers of boundary fibrations and the face names of their spaces.
 
 A tower records the depth, the tangency orders and the fibre dimensions
-of a nested family of boundary fibrations.  This module needs no corner
-engine, so a command that only reads a tower, an operator class or a
-model operator loads it and not ``corner_spaces``; ``a_spaces``
-re-exports every name here.
+of a nested family of boundary fibrations; the face names of its spaces
+and the closed face-table rule of the triple projections live here too.
+None of it needs a corner engine, so a command that reads only a tower,
+an operator class, the weights or a model operator loads this module
+and not ``corner_spaces``; ``a_spaces`` re-exports every name here.
 """
 
 from __future__ import annotations
@@ -132,3 +133,40 @@ def double_face_names(k: int) -> tuple:
     top = TRIPLE_STAGES[k]
     return (("rf", "lf") + tuple(f"ff_{top}{s}" for s in TRIPLE_STAGES[:k])
             + (f"ff_{top}",))
+
+
+def triple_face_names(level: int) -> tuple:
+    """Faces of the stage-level triple space in blowup order: H_1..H_3,
+    then per level l the triple diagonal V_l, the family new at l and the
+    lift of every earlier family, newest first."""
+    names = ["H_1", "H_2", "H_3"]
+    for l in range(level + 1):
+        names.append(f"V_{TRIPLE_STAGES[l]}")
+        names += [family_name(c, i, l)
+                  for c in range(l, -1, -1) for i in (1, 2, 3)]
+    return tuple(names)
+
+
+def facemap_rule(stage: str, i: int) -> dict:
+    """Face table of projection i at a stage, by the closed rule.
+
+    H_i maps into the interior and the other two H faces onto lf and rf
+    in factor order.  V_l and the index-i face of every family at level
+    l go to ff_l.  The other faces of the family new at level 0 go to lf
+    or rf by their retained factor; those of a family new at level
+    c >= 1 go to ff_{c-1}.
+    """
+    level = TRIPLE_STAGES.index(stage)
+    faces = double_face_names(level)
+    ff = faces[2:]
+    side = dict(zip(sorted({1, 2, 3} - {i}), ("lf", "rf")))
+    out = {h: [] for h in faces + ("interior",)}
+    for j in (1, 2, 3):
+        out[side.get(j, "interior")].append(f"H_{j}")
+    for l in range(level + 1):
+        out[ff[l]].append(f"V_{TRIPLE_STAGES[l]}")
+        for c in range(l + 1):
+            for j in (1, 2, 3):
+                h = ff[l] if j == i else ff[c - 1] if c else side[6 - i - j]
+                out[h].append(family_name(c, j, l))
+    return {h: tuple(sorted(v)) for h, v in out.items()}

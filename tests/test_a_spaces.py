@@ -91,6 +91,15 @@ def test_facemap_tables_match_reference():
     assert rep["mismatches"] == []
 
 
+def test_triple_face_names_follow_the_symmetric_replay():
+    # the engine-free face order that the composition plan reads
+    for t, stage in [(T, s) for s in "xyz"] + [
+            (Tower(3, (1, 2, 1, 3), 0, (1, 0, 2)), "u")]:
+        space, _ = cs.replay(asp.symmetric_triple_seq(t, stage))
+        assert space.face_names == asp.triple_face_names(
+            asp.TRIPLE_STAGES.index(stage))
+
+
 def test_facemap_rule_equals_stored_tables():
     for stage, i in itertools.product("xyz", (1, 2, 3)):
         assert asp.facemap_rule(stage, i) == reference_table(stage, i)
@@ -366,4 +375,8 @@ def test_facemap_verification_replays_every_projection(monkeypatch):
     finally:
         _clear_replays()
     assert rep["tables"] == 9 and rep["mismatches"]
-    assert {m["projection"] for m in rep["mismatches"]} == {2}
+    tables = [m for m in rep["mismatches"] if "projection" in m]
+    assert {m["projection"] for m in tables} == {2}
+    # the pullback sum along the broken projection misses W_a as well
+    assert {m["vector"] for m in rep["mismatches"]
+            if m not in tables} == {"W_a"}

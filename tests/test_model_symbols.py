@@ -18,6 +18,10 @@ from qhcalc import model_symbols as ms
 from qhcalc.a_spaces import Tower
 from qhcalc.index_algebra import cx
 
+def identity_op(t):
+    return ms.make_op(t, {ms._mi_zero(t): 1})
+
+
 T = Tower(2, (1, 1, 1), 1, (1, 1))
 
 
@@ -171,7 +175,7 @@ def test_normal_family_matrix_examples():
     assert sorted(dw.tolist()) == sorted(
         [2 * math.pi * k for k in range(-2, 3)])
 
-    ident = ms.identity_op(T)
+    ident = identity_op(T)
     Mi = ms.normal_family_matrix(ident, (0, 0), (0, 0, 0), 2)
     assert np.allclose(Mi.to_array(), np.eye(5))
 
@@ -434,7 +438,7 @@ def test_fully_elliptic_certificates():
                                     step=Fraction(1, 2))
     assert not cert0["fully_elliptic"]
     assert cert0["witness"] is not None
-    one = ms.identity_op(T)
+    one = identity_op(T)
     c1 = ms.fully_elliptic_check(one, N=2, radius=Fraction(1),
                                  step=Fraction(1, 2))
     assert abs(c1["min_singular_value"] - 1) < 1e-12
@@ -687,7 +691,7 @@ def test_grid_sweep_matches_per_point_path():
         assert abs(cert["min_singular_value"] - want) <= 1e-12 * want
         assert cert["witness"] == witness
     # a tie at every grid point: the witness is the first grid point
-    cert = ms.fully_elliptic_check(ms.identity_op(T), 1, N=2, radius=radius,
+    cert = ms.fully_elliptic_check(identity_op(T), 1, N=2, radius=radius,
                                    step=step)
     assert cert["min_singular_value"] == 0
     assert cert["witness"] == {"mu": ["-1", "-1", "-1"]}
@@ -716,6 +720,16 @@ def test_spectrum_distance_memory_stays_small():
         tracemalloc.stop()
     assert peak <= 8 * 2 ** 20
     assert r["min_distance"] == abs(complex(-1, 1)) and r["witness"] is None
+
+
+def test_oversized_grid_is_rejected_unbuilt():
+    # 257 values per axis, on the Laplacian path and on the SVD sweep
+    P = ms.generator(T, "w", 0)
+    for check in (lambda: ms.fully_elliptic_check(P, N=1, radius=64),
+                  lambda: ms.laplacian_spectrum_min_distance(
+                      T, -1, 0, 0, 1, radius=64)):
+        with pytest.raises(ValueError, match="exceeds 256 values per axis"):
+            check()
 
 
 def test_generator_index_out_of_range_is_rejected():
