@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .index_algebra import WeightVector
-from .tower import (TRIPLE_STAGES, Tower, double_face_names, family_name,
-                    require_depth_2)
+from .tower import (Tower, double_face_names, family_name, require_depth_2,
+                    stage_name)
 
 
 def gamma(t: Tower) -> tuple:
@@ -69,7 +69,7 @@ def expected_triple_w_a0(t: Tower) -> WeightVector:
     g = (0,) + gamma(t)
     out = {}
     for l in range(1, t.k + 1):
-        out[f"V_{TRIPLE_STAGES[l]}"] = 2 * g[l]
+        out[f"V_{stage_name(l)}"] = 2 * g[l]
         for c in range(l + 1):
             for i in (1, 2, 3):
                 out[family_name(c, i, l)] = g[l] + (g[l - 1] if c == l else 0)
@@ -83,7 +83,7 @@ def cross_checked_w_a(t: Tower) -> WeightVector:
     g = (0,) + gamma(t)
     out = {}
     for l in range(1, t.k + 1):
-        out[f"V_{TRIPLE_STAGES[l]}"] = -g[l]
+        out[f"V_{stage_name(l)}"] = -g[l]
         for i in (1, 2, 3):
             out[family_name(l, i, l)] = -g[l - 1]
     return WeightVector(out)
@@ -107,7 +107,7 @@ def triple_weights(t: Tower) -> TripleWeights:
     three projections, is ``cross_checked_w_a``."""
     dw = double_weights(t)
     w0 = WeightVector({f: (dw.w_a[f] - dw.w_a0[f]) / 2
-                       for f in double_face_names(2)})
+                       for f in double_face_names(t.k)})
     return TripleWeights(expected_triple_w_a0(t), cross_checked_w_a(t), w0)
 
 

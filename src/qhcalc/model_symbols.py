@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .index_algebra import CxRat, cx
-from .tower import Tower
+from .tower import Tower, require_depth_2
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,8 +123,7 @@ def coeff_const(t: Tower, value, xpow: int = 0,
 
 def model_dims(t: Tower) -> tuple:
     """(b, f1, f2) of the tower; model operators live on depth-2 towers."""
-    if t.k != 2:
-        raise ValueError("model operators need tower depth 2")
+    require_depth_2(t, "model")
     return t.b, t.f[0], t.f[1]
 
 
@@ -852,17 +851,18 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
     """
     b, f1, f2 = model_dims(t)
     n = _grid_half_width(radius, step)
-    modes = _truncated_modes(t, N)
+    _truncated_modes(t, N)          # rejects an oversized truncation
     import numpy as np
     dim = 1 + b + f1
     axis = np.array([float(Fraction(step) * i) for i in range(-n, n + 1)])
-    # the distinct grid values of |mu|^2, summed axis by axis in the
-    # order a grid sum would use: at most dim * n^2 + 1 values
-    mu2 = np.zeros(1)
+    # the distinct grid values of |mu|^2 and mode values of |k|^2, summed
+    # axis by axis in the order a grid sum would use: at most dim * n^2
+    # + 1 and f2 * N^2 + 1 values
+    mu2, k2 = np.zeros(1), np.zeros(1)
     for _ in range(dim):
         mu2 = np.unique(mu2[:, None] + np.unique(axis * axis)[None, :])
-    ks = [np.sum(np.array(k, dtype=float) ** 2) for k in modes]
-    k2 = np.unique(np.array(ks))
+    for _ in range(f2):
+        k2 = np.unique(k2[:, None] + np.arange(N + 1.0)[None, :] ** 2)
     lam = complex(float(lam_re0) + float(lam_re2) * math.pi ** 2,
                   float(lam_im))
     eig = mu2[None, :] + (TWO_PI ** 2) * k2[:, None]

@@ -27,7 +27,8 @@ from functools import lru_cache, reduce
 from . import index_algebra as ia
 from .index_algebra import (EMPTY, INF, SMOOTH, IndexFamily, IndexSet, add,
                             ext_union_many, family, inf_re, make, shift)
-from .tower import Tower, double_face_names, facemap_rule, triple_face_names
+from .tower import (Tower, double_face_names, facemap_rule, require_depth_2,
+                    triple_face_names)
 
 NEG_INF = -math.inf
 DOUBLE_FACES = double_face_names(2)
@@ -89,8 +90,7 @@ def _order_sum(a, b):
 def _composition_tower(P: OperatorClass, Q: OperatorClass) -> Tower:
     if P.tower != Q.tower:
         raise ValueError("operator classes live over different towers")
-    if P.tower.k != 2:
-        raise ValueError("operator composition needs tower depth 2")
+    require_depth_2(P.tower, "composition")
     return P.tower
 
 
@@ -177,12 +177,7 @@ def act(P: OperatorClass, I: IndexSet) -> IndexSet:
     """
     _require_integrable(P.family["rf"], I, "rf")
     J = P.family
-    return ext_union_many([
-        J["lf"],
-        add(J["ff_zx"], I),
-        add(J["ff_zy"], I),
-        add(J["ff_z"], I),
-    ])
+    return ext_union_many([J["lf"]] + [add(J[f], I) for f in DOUBLE_FACES[2:]])
 
 
 def adjoint(P: OperatorClass) -> OperatorClass:

@@ -1,11 +1,12 @@
-"""Towers of boundary fibrations and the face names of their spaces.
+"""Towers of boundary fibrations, the names of their levels and faces.
 
 A tower records the depth, the tangency orders and the fibre dimensions
-of a nested family of boundary fibrations; the face names of its spaces
-and the closed face-table rule of the triple projections live here too.
-None of it needs a corner engine, so a command that reads only a tower,
-an operator class, the weights or a model operator loads this module
-and not ``corner_spaces``; ``a_spaces`` re-exports every name here.
+of a nested family of boundary fibrations.  Level l is stage x, y, z, u
+and creates the pair-diagonal family E, G, F, D for l = 0..3; beyond, the
+level number follows u and D (stage u4, face D4_{i,u4}), and
+``parse_name`` reads every name back.  The face-table rule of the triple
+projections and the depth errors (``_DEPTH_2``) live here too, and need
+no corner engine; ``a_spaces`` re-exports every name here.
 """
 
 from __future__ import annotations
@@ -89,49 +90,64 @@ def normal_bundle_rank(t: Tower, l: int) -> int:
     return 1 if l == 0 else 1 + t.b + sum(t.f[:l - 1])
 
 
-# the constructions that stop at depth 2, as their depth errors name them
-_DEPTH_2 = {"triple": "triple space needs", "weights": "weight tables need"}
+_DEPTH_2 = {"triple": "triple space needs", "weights": "weight tables need",
+            "composition": "operator composition needs",
+            "model": "model operators need"}
 
 
 def require_depth_2(t: Tower, what: str) -> None:
-    """The one depth check of the triple space and the weight tables; it
-    needs no corner engine, so a command runs it before loading one."""
+    """The one depth check of every construction that stops at depth 2,
+    as ``_DEPTH_2`` names its error; it needs no corner engine, so a
+    command runs it before loading one."""
     if t.k != 2:
         raise ValueError(f"{_DEPTH_2[what]} tower depth 2")
 
 
 # ---------------------------------------------------------------------------
-# level letters and face names
+# level names and face names
 
-# level l is stage TRIPLE_STAGES[l] of the triple space, and FAMILIES[l]
-# is the pair-diagonal family it creates; the parser reads both tuples
-TRIPLE_STAGES = ("x", "y", "z", "u")
-FAMILIES = ("E", "G", "F", "D")
-_FAMILY_NAME = re.compile(
-    rf"([{''.join(FAMILIES)}])_\{{([123]),([{''.join(TRIPLE_STAGES)}])\}}$")
+def _letter(letters: str, l: int) -> str:
+    return letters[l] if l < 4 else f"{letters[3]}{l}"
+
+
+def stage_name(l: int) -> str:
+    return _letter("xyzu", l)
 
 
 def family_name(c: int, i: int, l: int) -> str:
     """Face of the family created at level c, factor index i, lifted to
     level l: family_name(0, 1, 2) is E_{1,z}."""
-    return f"{FAMILIES[c]}_{{{i},{TRIPLE_STAGES[l]}}}"
+    return f"{_letter('EGFD', c)}_{{{i},{stage_name(l)}}}"
 
 
-def parse_family_name(name: str):
-    """(c, i, l) of a family face name, or None for any other name."""
-    m = _FAMILY_NAME.match(name)
+_NAME = re.compile(r"(?:V_|([EGFD])(\d*)_\{([123]),)([xyzu])(\d*)\}?")
+
+
+def parse_name(name: str):
+    """(c, i, l) of a family face name, (None, None, l) of V_l, and None
+    of any name this module does not write."""
+    m = _NAME.fullmatch(name)
     if m is None:
         return None
-    return FAMILIES.index(m[1]), int(m[2]), TRIPLE_STAGES.index(m[3])
+    c = (int(m[2]) if m[2] else "EGFD".index(m[1])) if m[1] else None
+    i, l = m[3] and int(m[3]), int(m[5]) if m[5] else "xyzu".index(m[4])
+    ok = name == (family_name(c, i, l) if m[1] else f"V_{stage_name(l)}")
+    return (c, i, l) if ok else None
+
+
+def stage_level(stage: str) -> int:
+    """Level of a stage name, read back as that of its V_ name."""
+    parsed = parse_name(f"V_{stage}")
+    if parsed is None:
+        raise ValueError(f"no triple space stage {stage!r}")
+    return parsed[2]
 
 
 def double_face_names(k: int) -> tuple:
-    """rf, lf and the front faces ff_0..ff_k; up to depth 2 these carry
-    level letters, deepest level first (ff_zx, ff_zy, ff_z)."""
-    if k >= 3:
-        return ("rf", "lf") + tuple(f"ff_{j}" for j in range(k + 1))
-    top = TRIPLE_STAGES[k]
-    return (("rf", "lf") + tuple(f"ff_{top}{s}" for s in TRIPLE_STAGES[:k])
+    """rf, lf and the front faces, deepest level first: ff_zx, ff_zy,
+    ff_z at depth 2."""
+    top = stage_name(k)
+    return (("rf", "lf") + tuple(f"ff_{top}{stage_name(s)}" for s in range(k))
             + (f"ff_{top}",))
 
 
@@ -141,7 +157,7 @@ def triple_face_names(level: int) -> tuple:
     lift of every earlier family, newest first."""
     names = ["H_1", "H_2", "H_3"]
     for l in range(level + 1):
-        names.append(f"V_{TRIPLE_STAGES[l]}")
+        names.append(f"V_{stage_name(l)}")
         names += [family_name(c, i, l)
                   for c in range(l, -1, -1) for i in (1, 2, 3)]
     return tuple(names)
@@ -156,15 +172,14 @@ def facemap_rule(stage: str, i: int) -> dict:
     or rf by their retained factor; those of a family new at level
     c >= 1 go to ff_{c-1}.
     """
-    level = TRIPLE_STAGES.index(stage)
-    faces = double_face_names(level)
+    faces = double_face_names(stage_level(stage))
     ff = faces[2:]
     side = dict(zip(sorted({1, 2, 3} - {i}), ("lf", "rf")))
     out = {h: [] for h in faces + ("interior",)}
     for j in (1, 2, 3):
         out[side.get(j, "interior")].append(f"H_{j}")
-    for l in range(level + 1):
-        out[ff[l]].append(f"V_{TRIPLE_STAGES[l]}")
+    for l in range(len(ff)):
+        out[ff[l]].append(f"V_{stage_name(l)}")
         for c in range(l + 1):
             for j in (1, 2, 3):
                 h = ff[l] if j == i else ff[c - 1] if c else side[6 - i - j]

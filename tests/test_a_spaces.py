@@ -97,7 +97,7 @@ def test_triple_face_names_follow_the_symmetric_replay():
             (Tower(3, (1, 2, 1, 3), 0, (1, 0, 2)), "u")]:
         space, _ = cs.replay(asp.symmetric_triple_seq(t, stage))
         assert space.face_names == asp.triple_face_names(
-            asp.TRIPLE_STAGES.index(stage))
+            asp.stage_level(stage))
 
 
 def test_facemap_rule_equals_stored_tables():
@@ -107,24 +107,28 @@ def test_facemap_rule_equals_stored_tables():
 
 def test_mutated_facemap_rule_reports_mismatches(monkeypatch):
     # the rule is a real oracle: sending the non-index faces of the
-    # family new at level c >= 1 to ff_c instead of ff_{c-1} is caught
+    # family new at level c >= 1 to ff_c instead of ff_{c-1} is caught,
+    # at depth 3 at stage u as well
     rule = asp.facemap_rule
 
     def mutated(stage, i):
         out = {h: list(fs) for h, fs in rule(stage, i).items()}
-        ff = double_face_names(asp.TRIPLE_STAGES.index(stage))[2:]
+        ff = double_face_names(asp.stage_level(stage))[2:]
         for c in range(1, len(ff)):
             moved = [g for g in out[ff[c - 1]]
-                     if (asp.parse_family_name(g) or (0,))[0] == c]
+                     if (asp.parse_name(g) or (0,))[0] == c]
             out[ff[c - 1]] = [g for g in out[ff[c - 1]] if g not in moved]
             out[ff[c]] += moved
         return {h: tuple(sorted(fs)) for h, fs in out.items()}
 
     monkeypatch.setattr(asp, "facemap_rule", mutated)
-    rep = verify_facemaps(T)
-    assert rep["tables"] == 9
-    assert {(m["stage"], m["projection"]) for m in rep["mismatches"]} == {
-        (stage, i) for stage in "yz" for i in (1, 2, 3)}
+    for t, stages in ((T, "yz"), (Tower(3, (1, 2, 1, 3), 0, (1, 0, 2)),
+                                  "yzu")):
+        rep = verify_facemaps(t)
+        assert rep["tables"] == 3 * (t.k + 1)
+        assert {(m["stage"], m["projection"])
+                for m in rep["mismatches"]} == {
+            (stage, i) for stage in stages for i in (1, 2, 3)}
 
 
 # the 243 depth-2 towers (1, a1, a2) with b, f1, f2 in 0..2
@@ -137,7 +141,7 @@ _SWEEP = list(itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2),
     for a1, a2, b, f1, f2 in random.Random(14).sample(_SWEEP, 6)] + [
     Tower(1, (1, 3), 1, (1,))])
 def test_derived_path_equals_hand_path(t):
-    for stage in asp.TRIPLE_STAGES[:t.k + 1]:
+    for stage in map(asp.stage_name, range(t.k + 1)):
         assert asp.commuted_triple_seq(t, stage).entries == \
             hand_path(t, stage).entries, stage
 
@@ -200,13 +204,25 @@ def test_isomorphism_rejects_every_order_mutation():
 
 
 def test_family_names_parse_back():
-    for c, i, l in itertools.product(range(4), (1, 2, 3), range(4)):
-        assert asp.parse_family_name(asp.family_name(c, i, l)) == (c, i, l)
+    for c, i, l in itertools.product(range(7), (1, 2, 3), range(7)):
+        assert asp.parse_name(asp.family_name(c, i, l)) == (c, i, l)
+    for l in range(7):
+        stage = asp.stage_name(l)
+        assert asp.parse_name(f"V_{stage}") == (None, None, l)
+        assert asp.stage_level(stage) == l
+    assert [asp.stage_name(l) for l in range(6)] == [
+        "x", "y", "z", "u", "u4", "u5"]
     assert asp.family_name(0, 1, 2) == "E_{1,z}"
     assert asp.family_name(2, 3, 2) == "F_{3,z}"
     assert asp.family_name(3, 2, 3) == "D_{2,u}"
-    for name in ("H_1", "V_y", "ff_zx", "E_{4,x}", "E_{1,w}", "E_{1,x}!"):
-        assert asp.parse_family_name(name) is None
+    assert asp.family_name(4, 1, 5) == "D4_{1,u5}"
+    for name in ("H_1", "ff_zx", "E_{4,x}", "E_{1,w}", "E_{1,x}!", "V_w",
+                 "x", "V_u3", "V_u04", "V_x4", "V_u}", "E4_{1,u4}",
+                 "D3_{1,u}", "D_{1,u3}", "E_{1,x"):
+        assert asp.parse_name(name) is None, name
+    for name in ("V_y", "w", "u3", "E_{1,x}"):
+        with pytest.raises(ValueError, match="no triple space stage"):
+            asp.stage_level(name)
 
 
 def test_projection_tables_partition():
@@ -317,15 +333,23 @@ def test_double_space_depth_three():
     assert d.space.val(d.faces[-1], ("d", -1, pair)) == 1 + 1 + 2 + 1
 
 
-def test_depth_three_stays_at_depth_two_stages():
-    # level loops name ff_0..ff_3; the triple space stops at stage y
+def test_depth_three_verifies_every_stage():
+    # the level letters name every depth; the engine builds every stage
+    # up to the tower depth and refuses the one beyond it
     t = Tower(3, (1, 1, 2, 1), 1, (1, 0, 1))
-    assert double_face_names(3) == ("rf", "lf", "ff_0", "ff_1", "ff_2",
-                                    "ff_3")
+    assert double_face_names(3) == ("rf", "lf", "ff_ux", "ff_uy", "ff_uz",
+                                    "ff_u")
     rep = verify_facemaps(t)
-    assert rep["tables"] == 6 and rep["mismatches"] == []
-    with pytest.raises(ValueError, match="needs tower depth 2"):
-        triple_space(t)
+    assert rep["tables"] == 12 and rep["mismatches"] == []
+    with pytest.raises(ValueError, match="stage u4 needs tower depth 4"):
+        triple_space(t, "u4")
+
+
+def test_depth_four_verifies_every_stage():
+    t = Tower(4, (1, 2, 1, 3, 1), 0, (1, 0, 2, 1))
+    assert double_face_names(4)[2:] == ("ff_u4x", "ff_u4y", "ff_u4z",
+                                        "ff_u4u", "ff_u4")
+    assert verify_facemaps(t) == {"tables": 15, "mismatches": []}
 
 
 def test_degenerate_dimensions_full_pipeline():
@@ -358,7 +382,6 @@ def test_projection_tables_equal_replayed_projections():
 
 
 def _clear_replays():
-    triple_space.cache_clear()
     cs._replay.cache_clear()
 
 

@@ -176,7 +176,6 @@ def test_space_triple_dot_replays_no_projection(tower_file, monkeypatch,
     def refuse(*args):
         raise AssertionError("triple projection replayed for a dot view")
 
-    asp.triple_space.cache_clear()
     monkeypatch.setattr(asp, "_triple_projection", refuse)
     assert run(["space", "triple", "-c", tower_file, "--format", "dot"]) == 0
     dot = capsys.readouterr().out
@@ -253,9 +252,12 @@ def test_act_index_set_without_set_is_usage_error(tower_file, tmp_path,
     assert "'set'" in err
 
 
-def _shallow_towers(tmp_path):
+def _other_depth_towers(tmp_path):
+    # depth 3 as well: the engine builds stage z there, and no command
+    # may reach it past its depth error
     for k, cfg in ((0, {"k": 0, "a": [1], "b": 1, "f": []}),
-                   (1, {"k": 1, "a": [1, 2], "b": 1, "f": [1]})):
+                   (1, {"k": 1, "a": [1, 2], "b": 1, "f": [1]}),
+                   (3, {"k": 3, "a": [1, 1, 2, 1], "b": 1, "f": [1, 0, 1]})):
         p = tmp_path / f"tower{k}.json"
         p.write_text(json.dumps(cfg))
         yield str(p)
@@ -269,15 +271,15 @@ def _needs_depth_2(args, capsys, what="model operators need"):
 def test_normal_family_needs_depth_2(tmp_path, capsys):
     op = tmp_path / "op.json"
     op.write_text(json.dumps({"terms": [{"alpha": 2}]}))
-    for path in _shallow_towers(tmp_path):
+    for path in _other_depth_towers(tmp_path):
         _needs_depth_2(["normal-family", "-c", path], capsys)
         _needs_depth_2(["normal-family", "-c", path, "-O", str(op)], capsys)
 
 
 def test_triple_space_needs_depth_2(tmp_path, capsys):
-    # every triple view reaches the one depth check of the symmetric
-    # sequence, so all three say the same line
-    for path in _shallow_towers(tmp_path):
+    # every triple view runs the one depth check of ``tower`` before it
+    # loads the engine, so all three say the same line
+    for path in _other_depth_towers(tmp_path):
         for args in (["space", "triple"],
                      ["space", "triple", "--format", "dot"],
                      ["export-dot", "--space", "triple"]):
@@ -285,8 +287,13 @@ def test_triple_space_needs_depth_2(tmp_path, capsys):
                            "triple space needs")
 
 
+def test_weights_needs_depth_2(tmp_path, capsys):
+    for path in _other_depth_towers(tmp_path):
+        _needs_depth_2(["weights", "-c", path], capsys, "weight tables need")
+
+
 def test_resolvent_check_needs_depth_2(tmp_path, capsys):
-    for path in _shallow_towers(tmp_path):
+    for path in _other_depth_towers(tmp_path):
         _needs_depth_2(["resolvent-check", "-c", path, "--lambda=-1"],
                        capsys)
 
@@ -297,7 +304,7 @@ def test_compose_and_parametrix_need_depth_2(tmp_path, capsys):
     p = tmp_path / "p.json"
     p.write_text(json.dumps(oc.class_to_json(
         oc.op_class(t, 0, lf=make((1, 0)), ff_z=make((0, 0))))))
-    for path in _shallow_towers(tmp_path):
+    for path in _other_depth_towers(tmp_path):
         _needs_depth_2(["compose", "-c", path, "-P", str(p), "-Q", str(p)],
                        capsys, "operator composition needs")
         _needs_depth_2(["parametrix", "-c", path], capsys,

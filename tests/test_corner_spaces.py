@@ -314,9 +314,9 @@ REFERENCE_FACEMAP_Y1 = _tbl({
 def hand_path(t, stage, upto=None):
     """The hand path's sequence at a stage after its first `upto` steps."""
     from qhcalc import a_spaces as asp
-    level = asp.TRIPLE_STAGES.index(stage)
+    level = asp.stage_level(stage)
     steps = [(lbl, tgt) for lbl, tgt in HAND_BUBBLES
-             if asp.TRIPLE_STAGES.index(lbl.rstrip("}")[-1]) <= level]
+             if asp.parse_name(lbl)[2] <= level]
     s = asp.symmetric_triple_seq(t, stage)
     for a, b in (steps + list(HAND_REWRITES[:STAGE_REWRITES[stage]]))[:upto]:
         s = bubble_to(s, a, b) if isinstance(a, str) else rewrite_step(s, a, b)
@@ -360,7 +360,7 @@ def test_rewrite_checkpoints_isomorphic():
 
 def _clear_engine_caches():
     from qhcalc import a_spaces as asp
-    for cached in (cs._replay, asp.triple_space, asp.double_space,
+    for cached in (cs._replay, asp.double_space,
                    asp.triple_projection_tables):
         cached.cache_clear()
 

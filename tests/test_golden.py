@@ -184,7 +184,7 @@ def _space_state(S: cs.Space) -> dict:
 def _engine_state(tower: str) -> str:
     """One JSON line per face, stratum, meet set, registry entry, step."""
     t = asp.Tower.from_json(TOWERS[tower])
-    stage = asp.TRIPLE_STAGES[t.k]
+    stage = asp.stage_name(t.k)
     com = asp.commuted_triple_seq(t, stage)
     spaces = {"double": asp.double_space(t).space,
               "symmetric": cs.replay(asp.symmetric_triple_seq(t, stage))[0],

@@ -708,6 +708,44 @@ def test_grid_sweep_matches_per_point_path():
         assert math.isclose(cert["min_singular_value"], ref, rel_tol=1e-12)
 
 
+def _per_mode_min_distance(t, lam, N, radius, step):
+    """The distance with one numpy reduction per truncated mode, as the
+    spectral check computed |k|^2 before the sumset of squares."""
+    n = int(radius / step)
+    axis = np.array([float(step * i) for i in range(-n, n + 1)])
+    mu2 = np.zeros(1)
+    for _ in range(1 + t.b + t.f[0]):
+        mu2 = np.unique(mu2[:, None] + np.unique(axis * axis)[None, :])
+    ks = [np.sum(np.array(k, dtype=float) ** 2)
+          for k in itertools.product(range(-N, N + 1), repeat=t.f[1])]
+    eig = mu2[None, :] + ms.TWO_PI ** 2 * np.unique(np.array(ks))[:, None]
+    return float(np.abs(eig - _lam(*lam)).min())
+
+
+def test_spectrum_distance_equals_per_mode_loop():
+    # |k|^2 are exact integers in both sums, so the distances agree bit
+    # for bit; a parameter built on the spectrum gets its witness back
+    rng = random.Random(12)
+    radius, step = Fraction(3, 2), Fraction(1, 2)
+    for _ in range(16):
+        t = Tower(2, (1, 1, 1), rng.randint(0, 2),
+                  (rng.randint(0, 2), rng.randint(0, 3)))
+        N = rng.randint(0, 5)
+        mu = [step * rng.randint(0, 3) for _ in range(1 + t.b + t.f[0])]
+        k = [rng.randint(0, N) for _ in range(t.f[1])]
+        on = (sum(x * x for x in mu), 4 * sum(x * x for x in k), 0)
+        off = (Fraction(rng.randint(-8, 80), 2), rng.randint(0, 6),
+               Fraction(rng.choice([-3, -1, 1, 3]), 4))
+        for lam, witness in ((on, {"mu_norm_sq": str(on[0]),
+                                   "k_norm_sq": str(on[1] // 4)}),
+                             (off, None)):
+            got = ms.laplacian_spectrum_min_distance(t, *lam, N, radius,
+                                                     step)
+            assert got["min_distance"] == _per_mode_min_distance(
+                t, lam, N, radius, step)
+            assert got["witness"] == witness
+
+
 def test_spectrum_distance_memory_stays_small():
     # the distinct |mu|^2 values replace the dense grid: at radius 5 the
     # grid has 21^4 points, which in one piece took about 60 MB
