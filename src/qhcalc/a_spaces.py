@@ -23,8 +23,8 @@ from .corner_spaces import (BlowupSeq, BMap, CenterExpr, Merge, PSub, Space,
                             rewrite_step)
 from .tower import (Tower, double_face_names, facemap_rule,  # noqa: F401
                     family_name, normal_bundle_rank, parse_name, reduce,
-                    require_depth_2, stage_level, stage_name,
-                    triple_face_names)
+                    require_depth_2, require_unit_a0, stage_level,
+                    stage_name, triple_face_names)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +98,7 @@ def single_factor_space(t: Tower) -> Space:
 
 
 def _double_seq(t: Tower) -> BlowupSeq:
-    if t.a0 != 1:
-        raise ValueError("space constructions need a_0 = 1")
+    require_unit_a0(t)
     base = cs.product_space(2, t.level_dims(), name="double",
                             face_names=("lf", "rf"))
     base = cs.register(base, "diag",
@@ -172,8 +171,7 @@ def symmetric_triple_seq(t: Tower, stage: str = "z") -> BlowupSeq:
     if t.k < stage_level(stage):
         raise ValueError(f"triple space stage {stage} needs tower depth "
                          f"{stage_level(stage)}")
-    if t.a0 != 1:
-        raise ValueError("space constructions need a_0 = 1")
+    require_unit_a0(t)
     base = cs.product_space(3, t.level_dims(), name="triple")
     return BlowupSeq(base, tuple(_sym_entries(t, stage)))
 
@@ -298,9 +296,10 @@ def face_table(proj: BMap) -> dict:
 
 def verify_facemaps(t: Tower) -> dict:
     """Compare the 3(k + 1) replayed face tables, one per stage and index,
-    with ``facemap_rule``; at depth 2, compare the blowup weights of the
-    replayed spaces, and the triple ones plus the pullbacks of w0 along
-    the three projections, with the closed forms of ``densities``."""
+    with ``facemap_rule``.  At every depth, compare the blowup weights of
+    the top-stage double and triple spaces, and the triple ones plus the
+    pullbacks of w0 along the three projections, with the one weight rule
+    of ``densities``."""
     report = {"tables": 0, "mismatches": []}
     for stage in map(stage_name, range(t.k + 1)):
         trip = triple_space(t, stage)
@@ -310,20 +309,14 @@ def verify_facemaps(t: Tower) -> dict:
                 {"stage": stage, "projection": i},
                 face_table(trip.projections[i - 1]), facemap_rule(stage, i),
                 ())
-    try:                            # trip is the stage-z space
-        require_depth_2(t, "weights")
-    except ValueError:
-        return report
     from . import densities as dn
     from . import index_algebra as ia
+    tw = dn.triple_weights(t)       # trip is the top-stage space
     W_a0 = ia.WeightVector(cs.blowup_weights(trip.space))
-    w0 = dn.triple_weights(t).w0
-    W_a = sum((ia.pullback_weights(p, w0) for p in trip.projections), W_a0)
+    W_a = sum((ia.pullback_weights(p, tw.w0) for p in trip.projections), W_a0)
     w_a0 = ia.WeightVector(cs.blowup_weights(double_space(t).space))
-    for vector, got, want in (
-            ("w_a0", w_a0, dn.double_weights(t).w_a0),
-            ("W_a0", W_a0, dn.expected_triple_w_a0(t)),
-            ("W_a", W_a, dn.cross_checked_w_a(t))):
+    for vector, got, want in (("w_a0", w_a0, dn.double_weights(t).w_a0),
+                              ("W_a0", W_a0, tw.W_a0), ("W_a", W_a, tw.W_a)):
         report["mismatches"] += _mismatches(
             {"vector": vector}, ia.weights_to_json(got),
             ia.weights_to_json(want), "0/1")

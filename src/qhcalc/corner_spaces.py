@@ -822,7 +822,7 @@ def blowup_weights(space: Space, orders=None, dims=None) -> dict:
         if orders is not None:
             a = orders[max(st.center.merge.levels(), default=-1) + 1]
             m = center_rank(space, st.center, dims)
-        w[st.label] = sum((w[h] for h in st.center.faces), Fraction(a * m))
+        w[st.label] = sum((w[h] for h in st.center.faces), a * m)
     return w
 
 

@@ -4,10 +4,13 @@ Weights record how a lifted b-density differs from a b-density on the
 blown-up space: each blowup of order a whose center has interior rank m
 contributes a*m at its front face, and previously acquired weights lift
 along the blowdown.  This module states the results of that computation
-as closed forms in the front-face weights gamma_l and needs no corner
-engine.  ``a_spaces.verify_facemaps`` (``facemap verify``) compares them
-with the engine's blowup weights and, for the composition weight vector,
-with the pullback sum along the replayed triple projections.
+at every tower depth by one rule in the front-face weights gamma_l, with
+gamma_0 = gamma_{-1} = 0: on the double space ff_l gets gamma_l; on the
+triple space V_l gets 2 gamma_l and the family new at level c, lifted to
+level l, gets gamma_l + gamma_{c-1}.  It needs no corner engine.
+``a_spaces.verify_facemaps`` (``facemap verify``) compares the rule with
+the engine's blowup weights and, for the composition weight vector, with
+the pullback sum along the replayed triple projections.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .index_algebra import WeightVector
-from .tower import (Tower, double_face_names, family_name, require_depth_2,
+from .tower import (Tower, double_face_names, family_name, require_unit_a0,
                     stage_name)
 
 
@@ -41,12 +44,12 @@ class DoubleWeights:
 
 @lru_cache(maxsize=1024)
 def double_weights(t: Tower) -> DoubleWeights:
-    """Closed-form double-space weights.
+    """Closed-form double-space weights at any depth.
 
     With gamma_0 = 0: w_a0 is gamma_j on ff_j, w_a = -w_a0, and w_tilde
     is -gamma_k on rf and lf and gamma_j - 2 gamma_k on ff_j.
     """
-    require_depth_2(t, "weights")
+    require_unit_a0(t)
     g = (0,) + gamma(t)
     ffs = double_face_names(t.k)[2:]
     w_a0 = WeightVector(dict(zip(ffs, g)))
@@ -63,32 +66,6 @@ class TripleWeights:
     w0: WeightVector        # half the double-space weight difference
 
 
-def expected_triple_w_a0(t: Tower) -> WeightVector:
-    """With gamma_0 = 0: V_l gets 2 gamma_l, the family new at level l
-    gets gamma_{l-1} + gamma_l, and a lifted family gets gamma_l."""
-    g = (0,) + gamma(t)
-    out = {}
-    for l in range(1, t.k + 1):
-        out[f"V_{stage_name(l)}"] = 2 * g[l]
-        for c in range(l + 1):
-            for i in (1, 2, 3):
-                out[family_name(c, i, l)] = g[l] + (g[l - 1] if c == l else 0)
-    return WeightVector(out)
-
-
-def cross_checked_w_a(t: Tower) -> WeightVector:
-    """The composition weight vector pinned by the closed-form check:
-    with gamma_0 = 0, V_l gets -gamma_l and the family new at level l
-    gets -gamma_{l-1}; every other face gets 0."""
-    g = (0,) + gamma(t)
-    out = {}
-    for l in range(1, t.k + 1):
-        out[f"V_{stage_name(l)}"] = -g[l]
-        for i in (1, 2, 3):
-            out[family_name(l, i, l)] = -g[l - 1]
-    return WeightVector(out)
-
-
 def displayed_w_a(t: Tower) -> WeightVector:
     """The value this weight vector is usually displayed as, which
     differs from its own intermediate arithmetic in the signs of the
@@ -102,13 +79,25 @@ def displayed_w_a(t: Tower) -> WeightVector:
 
 @lru_cache(maxsize=1024)
 def triple_weights(t: Tower) -> TripleWeights:
-    """Closed-form triple-space weights: W_a0 is ``expected_triple_w_a0``
-    and W_a, which is W_a0 plus the sum of the pullbacks of w0 along the
-    three projections, is ``cross_checked_w_a``."""
-    dw = double_weights(t)
-    w0 = WeightVector({f: (dw.w_a[f] - dw.w_a0[f]) / 2
-                       for f in double_face_names(t.k)})
-    return TripleWeights(expected_triple_w_a0(t), cross_checked_w_a(t), w0)
+    """Closed-form triple-space weights at any depth, by one rule.
+
+    With gamma_0 = gamma_{-1} = 0: in W_a0, V_l gets 2 gamma_l and the
+    family new at level c, lifted to level l, gets gamma_l + gamma_{c-1};
+    in W_a, which is W_a0 plus the sum of the pullbacks of w0 along the
+    three projections, V_l gets -gamma_l and that family -gamma_{c-1}.
+    """
+    g = (0,) + gamma(t)
+    W_a0, W_a = {}, {}
+    for l in range(t.k + 1):
+        v = f"V_{stage_name(l)}"
+        W_a0[v], W_a[v] = 2 * g[l], -g[l]
+        for c in range(l + 1):
+            g_c = g[c - 1] if c else 0         # gamma_{c-1}
+            for f in (family_name(c, i, l) for i in (1, 2, 3)):
+                W_a0[f], W_a[f] = g[l] + g_c, -g_c
+    # w0 = (w_a - w_a0) / 2, and w_a = -w_a0
+    w0 = double_weights(t).w_a
+    return TripleWeights(WeightVector(W_a0), WeightVector(W_a), w0)
 
 
 def weight_discrepancy_report(t: Tower) -> str:

@@ -5,8 +5,8 @@ of a nested family of boundary fibrations.  Level l is stage x, y, z, u
 and creates the pair-diagonal family E, G, F, D for l = 0..3; beyond, the
 level number follows u and D (stage u4, face D4_{i,u4}), and
 ``parse_name`` reads every name back.  The face-table rule of the triple
-projections and the depth errors (``_DEPTH_2``) live here too, and need
-no corner engine; ``a_spaces`` re-exports every name here.
+projections, the depth errors (``_DEPTH_2``) and the a_0 check live here
+too, and need no corner engine; ``a_spaces`` re-exports every name here.
 """
 
 from __future__ import annotations
@@ -101,6 +101,13 @@ def require_depth_2(t: Tower, what: str) -> None:
     command runs it before loading one."""
     if t.k != 2:
         raise ValueError(f"{_DEPTH_2[what]} tower depth 2")
+
+
+def require_unit_a0(t: Tower) -> None:
+    """The a_0 check of every space construction, and of the weights
+    that state what one would give."""
+    if t.a0 != 1:
+        raise ValueError("space constructions need a_0 = 1")
 
 
 # ---------------------------------------------------------------------------

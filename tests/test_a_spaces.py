@@ -333,23 +333,44 @@ def test_double_space_depth_three():
     assert d.space.val(d.faces[-1], ("d", -1, pair)) == 1 + 1 + 2 + 1
 
 
-def test_depth_three_verifies_every_stage():
+def _verify_one_face_off(t, vector, face, monkeypatch):
+    """verify_facemaps against a weight rule one off at one face."""
+    from qhcalc import densities as dn
+    from qhcalc.index_algebra import WeightVector
+    rule = dn.triple_weights
+
+    def mutated(t):
+        tw = rule(t)
+        return dataclasses.replace(tw, **{
+            vector: getattr(tw, vector) + WeightVector({face: 1})})
+
+    monkeypatch.setattr(dn, "triple_weights", mutated)
+    return verify_facemaps(t)
+
+
+def test_depth_three_verifies_every_stage(monkeypatch):
     # the level letters name every depth; the engine builds every stage
-    # up to the tower depth and refuses the one beyond it
+    # up to the tower depth and refuses the one beyond it.  The weights
+    # are compared with the rule there too: one face off is the only
+    # mismatch (gamma = 2, 8, 11; F_{3,u} gets gamma_3 + gamma_1)
     t = Tower(3, (1, 1, 2, 1), 1, (1, 0, 1))
     assert double_face_names(3) == ("rf", "lf", "ff_ux", "ff_uy", "ff_uz",
                                     "ff_u")
-    rep = verify_facemaps(t)
-    assert rep["tables"] == 12 and rep["mismatches"] == []
+    assert _verify_one_face_off(t, "W_a0", "F_{3,u}", monkeypatch) == {
+        "tables": 12, "mismatches": [{"vector": "W_a0", "face": "F_{3,u}",
+                                      "got": "13/1", "want": "14/1"}]}
     with pytest.raises(ValueError, match="stage u4 needs tower depth 4"):
         triple_space(t, "u4")
 
 
-def test_depth_four_verifies_every_stage():
+def test_depth_four_verifies_every_stage(monkeypatch):
+    # gamma = 2, 4, 10, 14; in W_a, D_{1,u4} gets -gamma_2
     t = Tower(4, (1, 2, 1, 3, 1), 0, (1, 0, 2, 1))
     assert double_face_names(4)[2:] == ("ff_u4x", "ff_u4y", "ff_u4z",
                                         "ff_u4u", "ff_u4")
-    assert verify_facemaps(t) == {"tables": 15, "mismatches": []}
+    assert _verify_one_face_off(t, "W_a", "D_{1,u4}", monkeypatch) == {
+        "tables": 15, "mismatches": [{"vector": "W_a", "face": "D_{1,u4}",
+                                      "got": "-4/1", "want": "-3/1"}]}
 
 
 def test_degenerate_dimensions_full_pipeline():

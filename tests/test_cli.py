@@ -1,6 +1,7 @@
 """Front-end behavior: exit codes, determinism, serialization."""
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -473,23 +474,50 @@ def test_facemap_verify_writes_every_mismatch_to_the_output(
         "  stage z projection 3 face rf: got (), want ('c', 'd')\n")
 
 
-@pytest.mark.parametrize("closed_form, face, line", [
-    ("expected_triple_w_a0", "F_{2,z}",
-     "W_a0 face F_{2,z}: got 7/1, want 8/1"),
-    ("cross_checked_w_a", "V_y", "W_a face V_y: got -2/1, want -1/1")])
+@pytest.mark.parametrize("tower, vector, face, line", [
+    ({"k": 2, "a": [1, 1, 1], "b": 1, "f": [1, 1]}, "W_a0", "F_{2,z}",
+     "9 tables, 1 mismatches\n  W_a0 face F_{2,z}: got 7/1, want 8/1"),
+    ({"k": 2, "a": [1, 1, 1], "b": 1, "f": [1, 1]}, "W_a", "V_y",
+     "9 tables, 1 mismatches\n  W_a face V_y: got -2/1, want -1/1"),
+    ({"k": 3, "a": [1, 2, 1, 3], "b": 0, "f": [1, 0, 2]}, "W_a0", "F_{1,u}",
+     "12 tables, 1 mismatches\n  W_a0 face F_{1,u}: got 12/1, want 13/1")],
+    ids=["W_a0-depth-2", "W_a-depth-2", "W_a0-depth-3"])
 def test_facemap_verify_fails_on_a_mutated_weight_closed_form(
-        closed_form, face, line, tower_file, monkeypatch, capsys):
-    # the verify compares the replayed weights with the closed forms the
-    # commands read, so a change of one term is caught and named
+        tower, vector, face, line, tmp_path, monkeypatch, capsys):
+    # the verify compares the replayed weights with the rule the commands
+    # read, at every depth, so a change of one term is caught and named
     from qhcalc import densities as dn
-    rule = getattr(dn, closed_form)
+    rule = dn.triple_weights
 
     def mutated(t):
-        return rule(t) + ia.WeightVector({face: 1})
+        tw = rule(t)
+        return dataclasses.replace(tw, **{
+            vector: getattr(tw, vector) + ia.WeightVector({face: 1})})
 
-    monkeypatch.setattr(dn, closed_form, mutated)
-    assert run(["facemap", "verify", "-c", tower_file]) == 1
-    assert capsys.readouterr().out == f"9 tables, 1 mismatches\n  {line}\n"
+    monkeypatch.setattr(dn, "triple_weights", mutated)
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower))
+    assert run(["facemap", "verify", "-c", str(path)]) == 1
+    assert capsys.readouterr().out == f"{line}\n"
+
+
+def test_closed_rule_commands_need_unit_a0(tmp_path, capsys):
+    # the weights state what a space construction gives, so the commands
+    # that read them refuse a tower no space can be built for, with the
+    # line the space commands print
+    from qhcalc.index_algebra import make
+    t = Tower(2, (2, 1, 1), 1, (1, 1))
+    paths = {}
+    for name, value in (
+            ("tower", t.to_json()),
+            ("P", oc.class_to_json(oc.op_class(t, 0, lf=make((1, 0))))),
+            ("Q", oc.class_to_json(oc.op_class(t, 0, rf=make((2, 0)))))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        pathlib.Path(paths[name]).write_text(json.dumps(value))
+    for args in (["space", "double"], ["weights"], ["parametrix"],
+                 ["compose", "-P", paths["P"], "-Q", paths["Q"]]):
+        assert run(args + ["-c", paths["tower"]]) == 1, args
+        assert capsys.readouterr().err == "space constructions need a_0 = 1\n"
 
 
 # the formats each command writes; a command not listed takes no --format
@@ -550,9 +578,10 @@ def test_module_entry_point_runs_without_warnings(tower_file):
 
 
 def test_package_and_cli_import_without_numpy():
+    # sympy is test-only
     p = _python("-c", "import sys, qhcalc, qhcalc.cli; "
-                      "print('numpy' in sys.modules)")
-    assert p.returncode == 0 and p.stdout == "False\n"
+                      "print('numpy' in sys.modules, 'sympy' in sys.modules)")
+    assert p.returncode == 0 and p.stdout == "False False\n"
 
 
 # Each command form, run in a fresh interpreter, and the qhcalc modules it
@@ -575,7 +604,7 @@ _MODEL = {"index_algebra", "model_symbols"}
     ("space double -c {t2}", 0, _ENGINE),
     ("space triple -c {t1}", 1, set()),
     ("space triple -c {t1} --format dot", 1, set()),
-    ("facemap verify -c {t0}", 0, _ENGINE),
+    ("facemap verify -c {t0}", 0, _ENGINE | {"densities", "index_algebra"}),
     ("facemap verify -c {t2}", 0, _ENGINE | {"densities", "index_algebra"}),
     ("export-dot -c {t2}", 0, _ENGINE),
     ("export-dot -c {t1} --space triple", 1, set()),

@@ -365,12 +365,17 @@ def _clear_engine_caches():
         cached.cache_clear()
 
 
-def test_cold_facemap_verify_work_counts(monkeypatch):
+@pytest.mark.parametrize("tower, tables, bounds", [
+    ((2, (1, 1, 1), 1, (1, 1)), 9, (168, 1212, 3020, 11058, 12842)),
+    ((3, (1, 1, 1, 1), 1, (1, 1, 1)), 12,
+     (365, 2421, 7886, 27742, 41510))], ids=["depth-2", "depth-3"])
+def test_cold_facemap_verify_work_counts(tower, tables, bounds, monkeypatch):
     # work counts do not depend on the machine: a certificate that gets
     # dearer shows up here even where wall times are noise.  The bounds
     # are the counts of the cheapest-first certificate order with reach
     # screening and one rate system per face set, on the commuted path of
-    # the level loops.
+    # the level loops.  The weight checks add no engine work: they read
+    # the top-stage spaces the table loop built.
     from qhcalc import a_spaces as asp
     counts = dict.fromkeys(("blowup", "_fm_feasible", "disjoint",
                             "_closure", "separated_by"), 0)
@@ -387,15 +392,16 @@ def test_cold_facemap_verify_work_counts(monkeypatch):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     _clear_engine_caches()
     try:
-        rep = asp.verify_facemaps(asp.CANONICAL_TOWER)
+        rep = asp.verify_facemaps(asp.Tower(*tower))
     finally:
         _clear_engine_caches()
-    assert rep == {"tables": 9, "mismatches": []}
-    assert counts["blowup"] == 168          # every replay ran cold
-    assert counts["_fm_feasible"] <= 1212
-    assert counts["disjoint"] <= 3020
-    assert counts["_closure"] <= 11058      # memo lookups, hits included
-    assert counts["separated_by"] <= 12842
+    assert rep == {"tables": tables, "mismatches": []}
+    blowups, fm, disjoint, closure, separated = bounds
+    assert counts["blowup"] == blowups      # every replay ran cold
+    assert counts["_fm_feasible"] <= fm
+    assert counts["disjoint"] <= disjoint
+    assert counts["_closure"] <= closure    # memo lookups, hits included
+    assert counts["separated_by"] <= separated
 
 
 def _unscreened(monkeypatch):
