@@ -333,8 +333,9 @@ def test_double_space_depth_three():
     assert d.space.val(d.faces[-1], ("d", -1, pair)) == 1 + 1 + 2 + 1
 
 
-def _verify_one_face_off(t, vector, face, monkeypatch):
-    """verify_facemaps against a weight rule one off at one face."""
+def weight_rule_one_off(monkeypatch, vector, face):
+    """Make ``densities.triple_weights`` one off at one face of W_a0 or
+    W_a, as a mutation the verifier must name."""
     from qhcalc import densities as dn
     from qhcalc.index_algebra import WeightVector
     rule = dn.triple_weights
@@ -345,6 +346,10 @@ def _verify_one_face_off(t, vector, face, monkeypatch):
             vector: getattr(tw, vector) + WeightVector({face: 1})})
 
     monkeypatch.setattr(dn, "triple_weights", mutated)
+
+
+def _verify_one_face_off(t, vector, face, monkeypatch):
+    weight_rule_one_off(monkeypatch, vector, face)
     return verify_facemaps(t)
 
 

@@ -1,7 +1,6 @@
 """Front-end behavior: exit codes, determinism, serialization."""
 
 import argparse
-import dataclasses
 import json
 import os
 import pathlib
@@ -13,9 +12,9 @@ import pytest
 import qhcalc
 from qhcalc import a_spaces as asp
 from qhcalc import cli
-from qhcalc import index_algebra as ia
 from qhcalc import op_calculus as oc
 from qhcalc.a_spaces import Tower
+from test_a_spaces import weight_rule_one_off
 
 
 @pytest.fixture()
@@ -486,15 +485,7 @@ def test_facemap_verify_fails_on_a_mutated_weight_closed_form(
         tower, vector, face, line, tmp_path, monkeypatch, capsys):
     # the verify compares the replayed weights with the rule the commands
     # read, at every depth, so a change of one term is caught and named
-    from qhcalc import densities as dn
-    rule = dn.triple_weights
-
-    def mutated(t):
-        tw = rule(t)
-        return dataclasses.replace(tw, **{
-            vector: getattr(tw, vector) + ia.WeightVector({face: 1})})
-
-    monkeypatch.setattr(dn, "triple_weights", mutated)
+    weight_rule_one_off(monkeypatch, vector, face)
     path = tmp_path / "tower.json"
     path.write_text(json.dumps(tower))
     assert run(["facemap", "verify", "-c", str(path)]) == 1

@@ -3,7 +3,6 @@
 import functools
 import itertools
 import random
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
