@@ -17,7 +17,7 @@ trip = asp.triple_space(t)
 print(f"triple space: {len(trip.space.faces)} boundary hypersurfaces")
 
 print("\ncommuted sequence order:")
-print("  " + ", ".join(asp.commuted_triple_seq(t).labels()))
+print("  " + ", ".join(st.label for st in trip.commuted.history))
 
 print("\nface table of the first projection:")
 tbl = asp.face_table(trip.projections[0])
@@ -28,7 +28,7 @@ rep = asp.verify_facemaps(t)
 print(f"\nreference comparison: {rep['tables']} tables, "
       f"{len(rep['mismatches'])} mismatches")
 
-bij = asp.triple_constructions_isomorphic(t)
+bij = cs.isomorphic(trip.space, trip.commuted, incidence="within")
 print("constructions isomorphic:", bij is not None,
       "(identity on canonical names)" if bij and all(
           k == v for k, v in bij.items()) else "")

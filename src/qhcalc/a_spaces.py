@@ -243,44 +243,46 @@ def relabel_seq(seq: BlowupSeq, i: int) -> BlowupSeq:
 class ASpaceTriple:
     space: Space                    # symmetric construction
     projections: tuple              # (BMap, BMap, BMap) onto the double space
+    commuted: Space                 # replay of the index-1 commuted sequence
 
 
 def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
     """Build the stage triple space and its three projections.
 
-    The space itself is the symmetric construction.  Each projection is
-    derived from the commuted sequence for that index: composition of
-    the blowdown maps onto its index-1 prefix (the single factor times
-    the double space) with the product projection, re-based onto
-    the symmetric space through the canonical face naming.
+    The space itself is the symmetric construction.  The commuted
+    sequence is derived once and relabelled for each index.  Projection
+    i composes the blowdown maps of its own replay onto the index-i
+    prefix (the single factor times the double space) with the product
+    projection, re-based onto the symmetric space through the canonical
+    face naming.  The build keeps the index-1 commuted replay.
     """
     space, _ = replay(symmetric_triple_seq(t, stage))
     dbl = double_space(reduce(t, stage_level(stage)))
-    projections = tuple(_triple_projection(t, stage, i, space, dbl)
-                        for i in (1, 2, 3))
-    return ASpaceTriple(space, projections)
+    com = commuted_triple_seq(t, stage)
+    (p1, commuted), (p2, _), (p3, _) = (
+        _triple_projection(com, stage, i, space, dbl) for i in (1, 2, 3))
+    return ASpaceTriple(space, (p1, p2, p3), commuted)
 
 
-def _triple_projection(t: Tower, stage: str, i: int, sym_space: Space,
-                       dbl: ASpaceDouble) -> BMap:
-    com = relabel_seq(commuted_triple_seq(t, stage), i)
+def _triple_projection(com: BlowupSeq, stage: str, i: int, sym_space: Space,
+                       dbl: ASpaceDouble):
+    """Projection i, and the commuted replay it is read from."""
     level = stage_level(stage)
-    _, maps = replay(com)
+    _, maps = replay(relabel_seq(com, i))
     chain = maps[-1]
     for beta in reversed(maps[level + 1:-1]):
         chain = compose(chain, beta)
-    prefix, _ = replay(com, level + 1)
     left, right = sorted({1, 2, 3} - {i})
     entries = [(f"H_{left}", "lf", 1), (f"H_{right}", "rf", 1)]
     for l, ff in enumerate(double_face_names(level)[2:]):
         entries.append((family_name(0, i, l), ff, 1))
-    proj = bmap_from_entries(prefix, dbl.space, entries)
-    full = compose(chain, proj)
+    full = compose(chain, bmap_from_entries(chain.codomain, dbl.space,
+                                            entries))
     # the commuted replay names faces canonically, so the exponent data
     # transfers to the symmetric space verbatim
     if set(full.domain.face_names) != set(sym_space.face_names):
         raise cs.EngineUnsupported("commuted replay face names diverged")
-    return bmap_from_entries(sym_space, dbl.space, full.exponents)
+    return bmap_from_entries(sym_space, dbl.space, full.exponents), full.domain
 
 
 def face_table(proj: BMap) -> dict:
@@ -359,13 +361,5 @@ def triple_projection_tables() -> tuple:
     """
     t, dbl = CANONICAL_TOWER, double_space(CANONICAL_TOWER)
     space, _ = replay(symmetric_triple_seq(t))
-    p1 = _triple_projection(t, "z", 1, space, dbl)
+    p1, _ = _triple_projection(commuted_triple_seq(t), "z", 1, space, dbl)
     return (p1,) + tuple(relabel_projection(p1, i) for i in (2, 3))
-
-
-def triple_constructions_isomorphic(t: Tower, stage: str = "z"):
-    """Acceptance check: the symmetric space and the commuted replay are
-    isomorphic (incidence of the replay is certified-conservative)."""
-    sym, _ = replay(symmetric_triple_seq(t, stage))
-    com, _ = replay(commuted_triple_seq(t, stage))
-    return cs.isomorphic(sym, com, incidence="within")

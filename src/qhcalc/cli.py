@@ -117,7 +117,7 @@ def cmd_space_triple(args):
     from . import a_spaces as asp
     from . import corner_spaces as cs
     trip = asp.triple_space(t)
-    bij = asp.triple_constructions_isomorphic(t)
+    bij = cs.isomorphic(trip.space, trip.commuted, incidence="within")
     data = {"faces": list(trip.space.face_names),
             "face_count": len(trip.space.faces),
             "projections_b_fibrations": [

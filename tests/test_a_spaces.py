@@ -19,6 +19,12 @@ from test_corner_spaces import hand_path, reference_table, relabel_table
 T = Tower(2, (1, 1, 1), 1, (1, 1))
 
 
+def constructions_isomorphic(trip):
+    """Face bijection of the symmetric space onto the build's commuted
+    replay, whose incidence is certified-conservative."""
+    return cs.isomorphic(trip.space, trip.commuted, incidence="within")
+
+
 def test_tower_validation():
     with pytest.raises(ValueError):
         Tower(2, (1, 1), 1, (1, 1))
@@ -153,8 +159,8 @@ def test_depth_three_derived_path(t):
     com = asp.commuted_triple_seq(t, "u")
     assert com.labels()[:4] == ("E_{1,x}", "E_{1,y}", "E_{1,z}", "E_{1,u}")
     assert len(com.entries) == 34
-    assert asp.triple_constructions_isomorphic(t, "u") is not None
     trip = triple_space(t, "u")
+    assert constructions_isomorphic(trip) is not None
     for i, p in enumerate(trip.projections, 1):
         assert cs.is_b_fibration(p)
         assert asp.face_table(p) == asp.facemap_rule("u", i)
@@ -166,7 +172,7 @@ def test_facemap_tables_independent_of_orders():
 
 
 def test_commuted_construction_isomorphic():
-    bij = asp.triple_constructions_isomorphic(T)
+    bij = constructions_isomorphic(triple_space(T))
     assert bij is not None
     assert all(k == v for k, v in bij.items())
 
@@ -177,9 +183,9 @@ def test_isomorphism_holds_for_every_tangency_order():
     for a1, a2, b, f1, f2 in random.Random(6).sample(_SWEEP, 4) + [
             (3, 1, 1, 1, 1)]:
         t = Tower(2, (1, a1, a2), b, (f1, f2))
-        assert asp.triple_constructions_isomorphic(t) is not None, t
-    assert asp.triple_constructions_isomorphic(
-        Tower(1, (1, 3), 1, (1,)), "y") is not None
+        assert constructions_isomorphic(triple_space(t)) is not None, t
+    assert constructions_isomorphic(
+        triple_space(Tower(1, (1, 3), 1, (1,)), "y")) is not None
 
 
 def test_isomorphism_rejects_every_order_mutation():
@@ -407,22 +413,15 @@ def test_projection_tables_equal_replayed_projections():
     assert [p.rows for p in derived] == [p.rows for p in replayed]
 
 
-def _clear_replays():
-    cs._replay.cache_clear()
-
-
-def test_facemap_verification_replays_every_projection(monkeypatch):
+def test_facemap_verification_replays_every_projection(monkeypatch,
+                                                       cold_engine):
     # index 2 replaying the index-1 sequence must show up as mismatches,
     # so verify_facemaps (and acceptance criterion 2) does not derive
     # projections 2 and 3 from projection 1
     relabel = asp.relabel_seq
     monkeypatch.setattr(asp, "relabel_seq",
                         lambda seq, i: seq if i == 2 else relabel(seq, i))
-    _clear_replays()
-    try:
-        rep = verify_facemaps(asp.CANONICAL_TOWER)
-    finally:
-        _clear_replays()
+    rep = verify_facemaps(asp.CANONICAL_TOWER)
     assert rep["tables"] == 9 and rep["mismatches"]
     tables = [m for m in rep["mismatches"] if "projection" in m]
     assert {m["projection"] for m in tables} == {2}

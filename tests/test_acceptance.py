@@ -54,8 +54,8 @@ def test_criterion_2_face_tables():
 
 def test_criterion_3_triple_isomorphism():
     t0 = time.monotonic()
-    sym, _ = cs.replay(asp.symmetric_triple_seq(T))
-    com, _ = cs.replay(asp.commuted_triple_seq(T))
+    trip = asp.triple_space(T)
+    sym, com = trip.space, trip.commuted
     bij = cs.isomorphic(sym, com, incidence="within")
     dt = time.monotonic() - t0
     assert bij is not None and len(bij) == 24

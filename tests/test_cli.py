@@ -15,6 +15,7 @@ from qhcalc import cli
 from qhcalc import op_calculus as oc
 from qhcalc.a_spaces import Tower
 from test_a_spaces import weight_rule_one_off
+from test_corner_spaces import count_engine_calls
 
 
 @pytest.fixture()
@@ -182,6 +183,23 @@ def test_space_triple_dot_replays_no_projection(tower_file, monkeypatch,
     assert dot.startswith('graph "triple space" {')
     assert run(["export-dot", "-c", tower_file, "--space", "triple"]) == 0
     assert capsys.readouterr().out == dot
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cold_space_triple_derives_the_commuted_path_once(
+        fmt, tower_file, monkeypatch, capsys, cold_engine):
+    # the three projections and the isomorphism check read one
+    # derivation of the commuted path: 51 rewrite steps on this tower
+    counts = count_engine_calls(monkeypatch)
+    assert run(["space", "triple", "-c", tower_file, "--format", fmt]) == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "k2__space_triple.txt"
+    assert capsys.readouterr().out == {
+        "text": "triple space: 24 boundary hypersurfaces\n"
+                "projections are b-fibrations: True\n"
+                "symmetric and commuted constructions isomorphic: True\n",
+        "json": golden.read_text().removeprefix("exit 0\n")}[fmt]
+    assert counts["commuted_triple_seq"] == 1
+    assert counts["rewrite_step"] == 51
 
 
 def test_no_command_is_usage_error(capsys):

@@ -1,5 +1,7 @@
 """Blowup engine: construction, lifting, commutation, isomorphism."""
 
+import dataclasses
+
 import pytest
 
 from qhcalc import corner_spaces as cs
@@ -192,6 +194,19 @@ def test_isomorphic_rejects_different_spaces():
     assert isomorphic(sp, sp) == {"x1": "x1", "x2": "x2"}
 
 
+def test_isomorphic_rejects_an_unknown_incidence():
+    # x1 and x2 meet again in the first space only: both comparisons see
+    # it, and a misspelt one must not skip the incidence check
+    s1, _ = blowup(quadrant(), corner("x1", "x2"), 1, "ff")
+    extra = dataclasses.replace(s1, strata=s1.strata | {0b11})
+    assert extra.meets({"x1", "x2"}) and not s1.meets({"x1", "x2"})
+    for incidence in ("exact", "within"):
+        assert isomorphic(extra, s1, incidence=incidence) is None
+    for incidence in ("witin", None):
+        with pytest.raises(ValueError, match="incidence"):
+            isomorphic(extra, s1, incidence=incidence)
+
+
 def test_diag_tracking_through_double_space():
     sp = product_space(2, {0: 1, 1: 1, 2: 1}, face_names=("lf", "rf"))
     sp = register(sp, "diag", PSub(diag_locus({1, 2}, 2)))
@@ -358,27 +373,13 @@ def test_rewrite_checkpoints_isomorphic():
     assert len(hand_path(t, "z").entries) == 21
 
 
-def _clear_engine_caches():
-    from qhcalc import a_spaces as asp
-    for cached in (cs._replay, asp.double_space,
-                   asp.triple_projection_tables):
-        cached.cache_clear()
-
-
-@pytest.mark.parametrize("tower, tables, bounds", [
-    ((2, (1, 1, 1), 1, (1, 1)), 9, (168, 1212, 3020, 11058, 12842)),
-    ((3, (1, 1, 1, 1), 1, (1, 1, 1)), 12,
-     (365, 2421, 7886, 27742, 41510))], ids=["depth-2", "depth-3"])
-def test_cold_facemap_verify_work_counts(tower, tables, bounds, monkeypatch):
-    # work counts do not depend on the machine: a certificate that gets
-    # dearer shows up here even where wall times are noise.  The bounds
-    # are the counts of the cheapest-first certificate order with reach
-    # screening and one rate system per face set, on the commuted path of
-    # the level loops.  The weight checks add no engine work: they read
-    # the top-stage spaces the table loop built.
+def count_engine_calls(monkeypatch) -> dict:
+    """Count the calls of the blowup, the certificates, the rewrite step
+    and the commuted-path derivation from now on."""
     from qhcalc import a_spaces as asp
     counts = dict.fromkeys(("blowup", "_fm_feasible", "disjoint",
-                            "_closure", "separated_by"), 0)
+                            "_closure", "separated_by", "rewrite_step",
+                            "commuted_triple_seq"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -388,16 +389,38 @@ def test_cold_facemap_verify_work_counts(tower, tables, bounds, monkeypatch):
 
     for owner, name in ((cs, "blowup"), (cs, "_fm_feasible"),
                         (cs.Space, "disjoint"), (cs.Space, "_closure"),
-                        (cs.Space, "separated_by")):
+                        (cs.Space, "separated_by"), (cs, "rewrite_step"),
+                        (asp, "commuted_triple_seq")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    _clear_engine_caches()
-    try:
-        rep = asp.verify_facemaps(asp.Tower(*tower))
-    finally:
-        _clear_engine_caches()
-    assert rep == {"tables": tables, "mismatches": []}
-    blowups, fm, disjoint, closure, separated = bounds
+    # a_spaces calls the rewrite step under its own imported name
+    monkeypatch.setattr(asp, "rewrite_step", cs.rewrite_step)
+    return counts
+
+
+@pytest.mark.parametrize("tower, tables, bounds", [
+    ((2, (1, 1, 1), 1, (1, 1)), 9, (168, 1212, 2912, 11046, 12842, 64)),
+    ((3, (1, 1, 1, 1), 1, (1, 1, 1)), 12,
+     (365, 2421, 7512, 27722, 41510, 207)),
+    ((4, (1, 2, 1, 3, 1), 0, (1, 0, 2, 1)), 15,
+     (857, 5457, 20198, 75297, 132173, 527))],
+    ids=["depth-2", "depth-3", "depth-4"])
+def test_cold_facemap_verify_work_counts(tower, tables, bounds, monkeypatch,
+                                         cold_engine):
+    # work counts do not depend on the machine: a certificate that gets
+    # dearer shows up here even where wall times are noise.  The bounds
+    # are the counts of the cheapest-first certificate order with reach
+    # screening and one rate system per face set, on the commuted path of
+    # the level loops, derived once per stage and replayed for each of
+    # the three projections.  The weight checks add no engine work: they
+    # read the top-stage spaces the table loop built.
+    from qhcalc import a_spaces as asp
+    counts = count_engine_calls(monkeypatch)
+    t = asp.Tower(*tower)
+    assert asp.verify_facemaps(t) == {"tables": tables, "mismatches": []}
+    blowups, fm, disjoint, closure, separated, rewrites = bounds
     assert counts["blowup"] == blowups      # every replay ran cold
+    assert counts["commuted_triple_seq"] == t.k + 1
+    assert counts["rewrite_step"] <= rewrites
     assert counts["_fm_feasible"] <= fm
     assert counts["disjoint"] <= disjoint
     assert counts["_closure"] <= closure    # memo lookups, hits included
@@ -413,7 +436,7 @@ def _unscreened(monkeypatch):
     return reach
 
 
-def test_reach_bounds_every_closure(monkeypatch):
+def test_reach_bounds_every_closure(monkeypatch, cold_engine):
     # every closure the unscreened engine computes in a cold verify lies
     # inside the reach of the locus's faces
     from qhcalc import a_spaces as asp
@@ -426,11 +449,7 @@ def test_reach_bounds_every_closure(monkeypatch):
         return cl
 
     monkeypatch.setattr(cs.Space, "_closure", bounded)
-    _clear_engine_caches()
-    try:
-        assert asp.verify_facemaps(asp.CANONICAL_TOWER)["mismatches"] == []
-    finally:
-        _clear_engine_caches()
+    assert asp.verify_facemaps(asp.CANONICAL_TOWER)["mismatches"] == []
     assert len(checked) > 10000 and all(checked)
 
 

@@ -189,7 +189,7 @@ def _off_rule(got: tuple, want: tuple) -> list:
             if sympy.expand(x.get(h, 0) - y.get(h, 0)) != 0]
 
 
-@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("k", range(5))
 def test_weight_rule_is_an_identity_in_the_tower(k):
     g, got = symbolic_weights(k)
     assert _off_rule(got, weight_rule(k, g)) == []
