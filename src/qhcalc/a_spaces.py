@@ -111,7 +111,6 @@ def _double_seq(t: Tower) -> BlowupSeq:
     return BlowupSeq(base, tuple(entries))
 
 
-@lru_cache(maxsize=64)
 def double_space(t: Tower) -> ASpaceDouble:
     """Resolve the diagonal chain of the two-factor product.
 
@@ -176,6 +175,7 @@ def symmetric_triple_seq(t: Tower, stage: str = "z") -> BlowupSeq:
     return BlowupSeq(base, tuple(_sym_entries(t, stage)))
 
 
+@cs.replay_scope()
 def commuted_triple_seq(t: Tower, stage: str = "z") -> BlowupSeq:
     """Rewrite the symmetric sequence, by certified commutation steps, so
     it starts with the index-1 single-factor-times-double-space chain.
@@ -246,6 +246,7 @@ class ASpaceTriple:
     commuted: Space                 # replay of the index-1 commuted sequence
 
 
+@cs.replay_scope()
 def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
     """Build the stage triple space and its three projections.
 
@@ -296,6 +297,7 @@ def face_table(proj: BMap) -> dict:
     return {k: tuple(sorted(v)) for k, v in out.items()}
 
 
+@cs.replay_scope()
 def verify_facemaps(t: Tower) -> dict:
     """Compare the 3(k + 1) replayed face tables, one per stage and index,
     with ``facemap_rule``.  At every depth, compare the blowup weights of
@@ -349,6 +351,7 @@ def relabel_projection(p1: BMap, i: int) -> BMap:
 
 
 @lru_cache(maxsize=None)
+@cs.replay_scope()
 def triple_projection_tables() -> tuple:
     """The three projection b-maps of the canonical triple space.
 

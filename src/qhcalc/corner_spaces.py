@@ -45,14 +45,16 @@ Memo scope.  `canon_merge`, `_closure`, `_reach`, `neighborhood` and
 the rate system of each (face set, level -1 blocks) are pure, and are
 memoized, one dict per method, inside a scope that `blowup`,
 `Space.disjoint` or `Space.psub_meets` opens on its space; nested scopes
-share it and it is dropped when the outermost returns (a memo kept as
-long as its space would live in the replay cache with it).  Certificates
-test merge data and reach bitmasks first, so few lookups reach a closure.
+share it and it is dropped when the outermost returns; `replay_scope`
+does the same for the prefixes one engine call replays, so no space
+outlives its call.  Certificates test merge data and reach bitmasks
+first, so few lookups reach a closure.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
@@ -1024,26 +1026,37 @@ class BlowupSeq:
         return self.labels().index(label)
 
 
+_replays = None                 # the open replay scope's prefixes
+
+
+@contextlib.contextmanager
+def replay_scope():
+    """Share replayed prefixes among the replays inside (a ``with`` block
+    or a decorated call); nested scopes use the outermost one's dict."""
+    global _replays
+    outer, _replays = _replays, {} if _replays is None else _replays
+    try:
+        yield
+    finally:
+        _replays = outer
+
+
+@replay_scope()
 def replay(seq: BlowupSeq, upto: Optional[int] = None):
     """Execute the sequence; returns (space, list of blowdown maps).
 
-    Results are cached by (base space, executed entries) in a bounded
-    least-recently-used cache.  A cold `a_spaces.verify_facemaps` replays
-    172, 370 and 698 distinct prefixes at depths 2, 3 and 4; at depth 4
-    the cache evicts some that the verify replays again.
+    Each prefix runs once per replay scope, and a replay opens its own.
     """
-    n = len(seq.entries) if upto is None else upto
-    return _replay(seq.base, seq.entries[:n])
-
-
-@functools.lru_cache(maxsize=256)
-def _replay(base: Space, entries: tuple):
+    entries = seq.entries[:upto]
     if not entries:
-        return base, []
-    prev, maps = replay(BlowupSeq(base, entries), len(entries) - 1)
-    e = entries[-1]
-    space, beta = blowup(prev, e.locus(), e.order, e.label)
-    return space, maps + [beta]
+        return seq.base, []
+    key = (seq.base, entries)
+    if key not in _replays:
+        prev, maps = replay(seq, len(entries) - 1)
+        e = entries[-1]
+        space, beta = blowup(prev, e.locus(), e.order, e.label)
+        _replays[key] = space, maps + [beta]
+    return _replays[key]
 
 
 def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:

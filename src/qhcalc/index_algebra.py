@@ -119,9 +119,6 @@ class IndexSet:
     def is_empty(self) -> bool:
         return not self.generators
 
-    def __contains__(self, t: IndexTerm) -> bool:
-        return contains(self, t)
-
     def sorted_generators(self) -> list:
         return sorted(self.generators,
                       key=lambda t: (t.z.re, t.z.im, t.p))
@@ -348,9 +345,6 @@ class WeightVector:
             return NotImplemented
         faces = set(self.assignment) | set(other.assignment)
         return all(self[f] == other[f] for f in faces)
-
-    def __hash__(self):
-        return hash(frozenset(self.assignment.items()))
 
 
 def weights(**assignment) -> WeightVector:

@@ -146,6 +146,7 @@ _SWEEP = list(itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2),
     Tower(2, (1, a1, a2), b, (f1, f2))
     for a1, a2, b, f1, f2 in random.Random(14).sample(_SWEEP, 6)] + [
     Tower(1, (1, 3), 1, (1,))])
+@cs.replay_scope()
 def test_derived_path_equals_hand_path(t):
     for stage in map(asp.stage_name, range(t.k + 1)):
         assert asp.commuted_triple_seq(t, stage).entries == \
@@ -155,6 +156,7 @@ def test_derived_path_equals_hand_path(t):
 @pytest.mark.parametrize("t", [Tower(3, (1, 1, 1, 1), 1, (1, 1, 1)),
                                Tower(3, (1, 2, 1, 3), 0, (1, 0, 2))],
                          ids=["unit", "orders"])
+@cs.replay_scope()
 def test_depth_three_derived_path(t):
     com = asp.commuted_triple_seq(t, "u")
     assert com.labels()[:4] == ("E_{1,x}", "E_{1,y}", "E_{1,z}", "E_{1,u}")
@@ -188,6 +190,7 @@ def test_isomorphism_holds_for_every_tangency_order():
         triple_space(Tower(1, (1, 3), 1, (1,)), "y")) is not None
 
 
+@cs.replay_scope()
 def test_isomorphism_rejects_every_order_mutation():
     # negative control: changing one blowup order of the commuted (1,3,1)
     # sequence changes some face's valuations or cumulative weight
@@ -375,13 +378,21 @@ def test_depth_three_verifies_every_stage(monkeypatch):
 
 
 def test_depth_four_verifies_every_stage(monkeypatch):
-    # gamma = 2, 4, 10, 14; in W_a, D_{1,u4} gets -gamma_2
+    # gamma = 2, 4, 10, 14; in W_a, D_{1,u4} gets -gamma_2.  The top-stage
+    # build the verify made is isomorphic to its commuted replay
     t = Tower(4, (1, 2, 1, 3, 1), 0, (1, 0, 2, 1))
     assert double_face_names(4)[2:] == ("ff_u4x", "ff_u4y", "ff_u4z",
                                         "ff_u4u", "ff_u4")
+    builds = []
+    monkeypatch.setattr(asp, "triple_space",
+                        lambda *args: builds.append(triple_space(*args))
+                        or builds[-1])
     assert _verify_one_face_off(t, "W_a", "D_{1,u4}", monkeypatch) == {
         "tables": 15, "mismatches": [{"vector": "W_a", "face": "D_{1,u4}",
                                       "got": "-4/1", "want": "-3/1"}]}
+    trip = builds[-1]
+    assert cs.isomorphic(trip.space, trip.commuted,
+                         incidence="within") is not None
 
 
 def test_degenerate_dimensions_full_pipeline():
@@ -407,14 +418,14 @@ def test_relabelled_projection_equals_replayed(t, stage):
         assert derived.rows == trip.projections[i - 1].rows
 
 
+@cs.replay_scope()
 def test_projection_tables_equal_replayed_projections():
     replayed = triple_space(asp.CANONICAL_TOWER).projections
     derived = asp.triple_projection_tables()
     assert [p.rows for p in derived] == [p.rows for p in replayed]
 
 
-def test_facemap_verification_replays_every_projection(monkeypatch,
-                                                       cold_engine):
+def test_facemap_verification_replays_every_projection(monkeypatch):
     # index 2 replaying the index-1 sequence must show up as mismatches,
     # so verify_facemaps (and acceptance criterion 2) does not derive
     # projections 2 and 3 from projection 1

@@ -187,7 +187,7 @@ def test_space_triple_dot_replays_no_projection(tower_file, monkeypatch,
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_cold_space_triple_derives_the_commuted_path_once(
-        fmt, tower_file, monkeypatch, capsys, cold_engine):
+        fmt, tower_file, monkeypatch, capsys):
     # the three projections and the isomorphism check read one
     # derivation of the commuted path: 51 rewrite steps on this tower
     counts = count_engine_calls(monkeypatch)

@@ -360,6 +360,7 @@ def reference_table(stage: str, i: int) -> dict:
     return relabel_table(base, i) if i != 1 else dict(base)
 
 
+@cs.replay_scope()
 def test_rewrite_checkpoints_isomorphic():
     # sampled intermediates of the hand path replay to spaces isomorphic
     # with the original symmetric construction: after the first level-2
@@ -402,17 +403,20 @@ def count_engine_calls(monkeypatch) -> dict:
     ((3, (1, 1, 1, 1), 1, (1, 1, 1)), 12,
      (365, 2421, 7512, 27722, 41510, 207)),
     ((4, (1, 2, 1, 3, 1), 0, (1, 0, 2, 1)), 15,
-     (857, 5457, 20198, 75297, 132173, 527))],
-    ids=["depth-2", "depth-3", "depth-4"])
-def test_cold_facemap_verify_work_counts(tower, tables, bounds, monkeypatch,
-                                         cold_engine):
+     (692, 4333, 16213, 60431, 107929, 527)),
+    ((5, (1,) * 6, 0, (1, 0, 1, 0, 1)), 18,
+     (1196, 7168, 31187, 118644, 242598, 1148))],
+    ids=["depth-2", "depth-3", "depth-4", "depth-5"])
+def test_cold_facemap_verify_work_counts(tower, tables, bounds, monkeypatch):
     # work counts do not depend on the machine: a certificate that gets
     # dearer shows up here even where wall times are noise.  The bounds
     # are the counts of the cheapest-first certificate order with reach
     # screening and one rate system per face set, on the commuted path of
     # the level loops, derived once per stage and replayed for each of
-    # the three projections.  The weight checks add no engine work: they
-    # read the top-stage spaces the table loop built.
+    # the three projections, each prefix replayed once per verify.  The
+    # weight checks add no engine work: they read the top-stage spaces
+    # the table loop built.  Every verify is cold: the engine keeps no
+    # state between calls.
     from qhcalc import a_spaces as asp
     counts = count_engine_calls(monkeypatch)
     t = asp.Tower(*tower)
@@ -436,7 +440,40 @@ def _unscreened(monkeypatch):
     return reach
 
 
-def test_reach_bounds_every_closure(monkeypatch, cold_engine):
+def test_engine_work_is_call_local(monkeypatch):
+    # two verifies in one process each do the depth-2 counts above:
+    # neither reads what the other replayed
+    from qhcalc import a_spaces as asp
+    counts = count_engine_calls(monkeypatch)
+    cold = dict(zip(counts, (168, 1212, 2912, 11046, 12842, 64, 3)))
+    for _ in range(2):
+        assert asp.verify_facemaps(asp.CANONICAL_TOWER)["mismatches"] == []
+        assert counts == cold
+        counts.update(dict.fromkeys(counts, 0))
+
+
+def test_replay_scope_shares_prefixes_until_the_outermost_exits(
+        monkeypatch):
+    # a replay outside any scope runs each step once and keeps nothing;
+    # inside a scope, replays of the same prefixes (nested scopes too)
+    # run no blowup
+    from qhcalc import a_spaces as asp
+    counts = count_engine_calls(monkeypatch)
+    seq = asp.symmetric_triple_seq(asp.CANONICAL_TOWER)
+    for _ in range(2):
+        counts["blowup"] = 0
+        replay(seq)
+        assert counts["blowup"] == len(seq.entries) == 21
+    counts["blowup"] = 0
+    with cs.replay_scope():
+        A, _ = replay(seq)
+        with cs.replay_scope():
+            assert replay(seq, 5)[0] is replay(seq)[1][4].domain
+        assert replay(seq)[0] is A
+    assert counts["blowup"] == 21 and cs._replays is None
+
+
+def test_reach_bounds_every_closure(monkeypatch):
     # every closure the unscreened engine computes in a cold verify lies
     # inside the reach of the locus's faces
     from qhcalc import a_spaces as asp
@@ -453,6 +490,7 @@ def test_reach_bounds_every_closure(monkeypatch, cold_engine):
     assert len(checked) > 10000 and all(checked)
 
 
+@cs.replay_scope()
 def _symmetric_spaces():
     from qhcalc import a_spaces as asp
     seq = asp.symmetric_triple_seq(asp.CANONICAL_TOWER)

@@ -204,6 +204,7 @@ def test_weight_rule_proof_catches_the_lifted_family_mutation():
         (vector, h) for vector in ("W_a0", "W_a") for h in faces]
 
 
+@cs.replay_scope()
 def test_weight_rule_premise_and_densities():
     # the proof covers a tower whose double and top-stage triple replays
     # have the unit-order combinatorics; b = 0 and f_l = 0 included.  On
