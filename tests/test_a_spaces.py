@@ -384,9 +384,12 @@ def test_depth_four_verifies_every_stage(monkeypatch):
     assert double_face_names(4)[2:] == ("ff_u4x", "ff_u4y", "ff_u4z",
                                         "ff_u4u", "ff_u4")
     builds = []
-    monkeypatch.setattr(asp, "triple_space",
-                        lambda *args: builds.append(triple_space(*args))
-                        or builds[-1])
+
+    def kept(*args):
+        builds.append(triple_space(*args))
+        return builds[-1]
+
+    monkeypatch.setattr(asp, "triple_space", kept)
     assert _verify_one_face_off(t, "W_a", "D_{1,u4}", monkeypatch) == {
         "tables": 15, "mismatches": [{"vector": "W_a", "face": "D_{1,u4}",
                                       "got": "-4/1", "want": "-3/1"}]}
