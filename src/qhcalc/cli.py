@@ -298,12 +298,17 @@ def _load_operator(t: Tower, path: str) -> ms.ADiffOp:
                                       "im": "0"}])
             c = ms.Coeff()
             for n, restr, imstr in xp:
-                base = ms.Coeff({(int(n), (0,) * nm, 0):
-                                 ia.cx(Fraction(restr), Fraction(imstr))})
+                if type(n) is not int or n < 0:
+                    raise TypeError("x powers must be nonnegative "
+                                    f"integers, got {n!r}")
+                base = ms.Coeff({(n, (0,) * nm, 0): ia.cx(restr, imstr)})
                 for tg in trig:
-                    tc = ms.Coeff({(0, tuple(tg["modes"]), 0):
-                                   ia.cx(Fraction(tg.get("re", 1)),
-                                         Fraction(tg.get("im", 0)))})
+                    modes = tuple(tg["modes"])
+                    if any(type(q) is not int for q in modes):
+                        raise TypeError("trig modes must be integers, "
+                                        f"got {list(modes)}")
+                    tc = ms.Coeff({(0, modes, 0):
+                                   ia.cx(tg.get("re", 1), tg.get("im", 0))})
                     c = c + base * tc
         except (TypeError, ValueError, KeyError, AttributeError,
                 ZeroDivisionError) as e:

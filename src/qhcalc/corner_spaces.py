@@ -24,7 +24,8 @@ projective coordinates of a single blowup step:
   every reachable corner, reachability being an exact rational
   feasibility problem on vanishing rates;
 * two loci are certified disjoint when their face sets cannot meet, or
-  when some blown-up center provably contains their intersection.
+  when a face lies off the tracked meet set of a diagonal they lie in,
+  from which each blowup drops the faces its center separates.
 
 Representation.  Values are immutable and index themselves once, when
 built.  A `Merge` keeps its per-level partitions plus the set of its
@@ -43,10 +44,9 @@ reads one row and composition joins rows.
 
 Memo scope.  `canon_merge`, `_closure`, `_reach`, `neighborhood` and
 the rate system of each (face set, level -1 blocks) are pure, and are
-memoized, one dict per method, inside a scope that `blowup`,
-`Space.disjoint` or `Space.psub_meets` opens on its space; nested scopes
-share it and it is dropped when the outermost returns; `replay_scope`
-does the same for the prefixes one engine call replays, so no space
+memoized, one dict per method, inside the scope that `blowup` opens on
+its space for the one step; outside it they are computed afresh.
+`replay_scope` keeps the prefixes one engine call replays, so no space
 outlives its call.  Certificates test merge data and reach bitmasks
 first, so few lookups reach a closure.
 """
@@ -630,21 +630,12 @@ class Space:
                 return False
         return True
 
-    @_memo_scope
     def disjoint(self, t1: Locus, t2: Locus) -> bool:
         """Sound disjointness certificate (False proves nothing)."""
         joint = Locus(t1.faces | t2.faces, t1.merge.join(t2.merge),
                       t1.pure and t2.pure)
-        if not self.locus_nonempty_certificate(joint):
-            return True
-        # only steps that `separated_by` does not reject by label or reach
-        fm = self._mask(joint.faces)
-        reach = self._reach(fm)
-        return any(self.separated_by(t1, t2, st)
-                   for st, (bit, cmask, _) in zip(self.history, self._hist)
-                   if not bit & fm and not cmask & ~reach)
+        return not self.locus_nonempty_certificate(joint)
 
-    @_memo_scope
     def psub_meets(self, name: str) -> frozenset:
         """Faces a registered submanifold still meets."""
         t = self.registered(name).locus

@@ -27,6 +27,7 @@ so the exact paths and every rejected depth run without it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -886,15 +887,23 @@ def laplacian_spectrum_min_distance(t: Tower, lam_re0, lam_re2, lam_im,
 
 
 def _is_sum_of_squares(target, count: int, values) -> bool:
-    """Whether target is a sum of `count` squares of the given values."""
-    sq = [v * v for v in values]
+    """Whether target is a sum of `count` squares of the given values.
 
-    def rec(d, rem):
-        if d == 0:
-            return rem == 0
-        return any(rec(d - 1, rem - s) for s in sq if s <= rem)
-
-    return rec(count, target)
+    Decided on integers in units of the squared common denominator: bit
+    s of `sums` is set when s is a sum of the squares chosen so far.
+    """
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    target = Fraction(target) * den * den
+    sq = {int(v * den) ** 2 for v in values}
+    top = count * max(sq, default=0)
+    if target.denominator != 1 or not 0 <= target <= top:
+        return False
+    target, sums = int(target), 1
+    for _ in range(count):
+        sums = functools.reduce(operator.or_, (sums << s for s in sq), 0)
+        sums &= (2 << target) - 1
+    return bool(sums >> target & 1)
 
 
 def resolvent_model_check(t: Tower, lam_re0, lam_re2, lam_im, N: int = 8,

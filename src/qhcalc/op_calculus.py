@@ -32,6 +32,7 @@ from .tower import (Tower, double_face_names, facemap_rule, require_depth_2,
 
 NEG_INF = -math.inf
 DOUBLE_FACES = double_face_names(2)
+LEDGER_MAX_POWER = 5    # remainder powers the ledger re-verifies
 
 
 class NonIntegrable(ValueError):
@@ -243,7 +244,7 @@ def _contained_small(P: OperatorClass, c) -> bool:
     return all(ia.contains(target, g) for g in got.generators)
 
 
-def parametrix_ledger(t: Tower, m, max_power: int = 5) -> Ledger:
+def parametrix_ledger(t: Tower, m) -> Ledger:
     """Remainder chain of the parametrix construction, re-verified.
 
     Symbol inversion leaves a remainder one order lower; its asymptotic
@@ -260,7 +261,7 @@ def parametrix_ledger(t: Tower, m, max_power: int = 5) -> Ledger:
     r1 = small(t, -1, 0)
     checks = []
     acc = r1
-    for n in range(2, max_power + 1):
+    for n in range(2, LEDGER_MAX_POWER + 1):
         acc = compose(acc, r1)
         checks.append((acc.order == -n and _contained_small(acc, 0),
                        f"remainder^{n} has order {-n}"))
@@ -278,7 +279,7 @@ def parametrix_ledger(t: Tower, m, max_power: int = 5) -> Ledger:
     rf1 = small(t, NEG_INF, 1)
     checks = []
     acc = rf1
-    for n in range(2, max_power + 1):
+    for n in range(2, LEDGER_MAX_POWER + 1):
         acc = compose(acc, rf1)
         checks.append((
             _contained_small(acc, n),

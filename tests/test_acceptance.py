@@ -123,7 +123,7 @@ def test_criterion_5_small_closure_and_conjugation():
 
 def test_criterion_6_parametrix_ledger():
     for m in (0, 1, 2):
-        led = oc.parametrix_ledger(T, m, max_power=5)
+        led = oc.parametrix_ledger(T, m)
         assert led.verify()
         chain = [st.output for st in led.steps]
         assert chain[0].order == -1

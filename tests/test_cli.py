@@ -352,9 +352,12 @@ def test_operator_term_or_coeff_not_an_object_is_usage_error(tower_file,
 
 @pytest.mark.parametrize("term", [
     {"I": 3}, {"coeff": {"x_poly": 5}}, {"coeff": {"trig": [{"modes": 7}]}},
-    {"coeff": {"trig": [{"modes": [0, 0, 0], "re": "q"}]}}, {"alpha": "z"}],
+    {"coeff": {"trig": [{"modes": [0, 0, 0], "re": "q"}]}}, {"alpha": "z"},
+    {"coeff": {"trig": [{"modes": [0, 0, 0], "re": 0.1}]}},
+    {"coeff": {"x_poly": [[1, "1", 0.5]]}}],
     ids=["I-not-a-list", "x_poly-not-a-list", "modes-not-a-list",
-         "re-not-rational", "alpha-not-an-integer"])
+         "re-not-rational", "alpha-not-an-integer", "re-float",
+         "x_poly-im-float"])
 def test_malformed_operator_term_is_usage_error(term, tower_file, tmp_path,
                                                 capsys):
     op = tmp_path / "op.json"
@@ -366,8 +369,15 @@ def test_malformed_operator_term_is_usage_error(term, tower_file, tmp_path,
 
 @pytest.mark.parametrize("term", [
     {"alpha": 2.7}, {"alpha": True}, {"alpha": 2, "K": [1.5, 0]},
-    {"I": ["1"]}],
-    ids=["alpha-float", "alpha-bool", "K-float", "I-string"])
+    {"I": ["1"]}, {"coeff": {"trig": [{"modes": [0, 0, 0.5]}]}},
+    {"coeff": {"trig": [{"modes": [0, True, 0]}]}},
+    {"coeff": {"x_poly": [[1.7, "1", "0"]]}},
+    {"coeff": {"x_poly": [[True, "1", "0"]]}},
+    {"coeff": {"x_poly": [["0", "1", "0"]]}},
+    {"coeff": {"x_poly": [[-1, "1", "0"]]}}],
+    ids=["alpha-float", "alpha-bool", "K-float", "I-string", "mode-float",
+         "mode-bool", "x-power-float", "x-power-bool", "x-power-string",
+         "x-power-negative"])
 def test_non_integer_multi_index_is_usage_error(term, tower_file, tmp_path,
                                                 capsys):
     op = tmp_path / "op.json"
@@ -749,6 +759,19 @@ def test_oversized_grid_is_one_line_domain_error(tower_file):
     for radius, code in (("127/2", 0), ("64", 1)):
         assert run(["resolvent-check", "-c", tower_file, "--lambda=-1",
                     "--N", "1", "--radius", radius]) == code
+
+
+def test_half_line_witness_search_is_not_exponential(tmp_path):
+    # the witness search over a grid of dimension 7 used to recurse
+    # through every sum of squares: this ran past a 60 s timeout
+    p = tmp_path / "tower.json"
+    p.write_text(json.dumps({"k": 2, "a": [1, 1, 1], "b": 3, "f": [3, 1]}))
+    p = _python("-m", "qhcalc.cli", "resolvent-check", "-c", str(p),
+                "--N", "1", "--lambda=700.125")
+    assert (p.returncode, p.stderr) == (1, "")
+    assert p.stdout == ("rejected: spectral parameter on the real "
+                        "half-line [0, inf); no witness mode within the "
+                        "truncation and grid\n")
 
 
 def test_spectrum_witness_search_stops_at_the_square_root(tmp_path, capsys):

@@ -399,24 +399,25 @@ def count_engine_calls(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize("tower, tables, bounds", [
-    ((2, (1, 1, 1), 1, (1, 1)), 9, (168, 1212, 2912, 11046, 12842, 64)),
+    ((2, (1, 1, 1), 1, (1, 1)), 9, (168, 1212, 2912, 8533, 8205, 64)),
     ((3, (1, 1, 1, 1), 1, (1, 1, 1)), 12,
-     (365, 2421, 7512, 27722, 41510, 207)),
+     (365, 2421, 7512, 19881, 25371, 207)),
     ((4, (1, 2, 1, 3, 1), 0, (1, 0, 2, 1)), 15,
-     (692, 4333, 16213, 60431, 107929, 527)),
+     (692, 4333, 16213, 41179, 64848, 527)),
     ((5, (1,) * 6, 0, (1, 0, 1, 0, 1)), 18,
-     (1196, 7168, 31187, 118644, 242598, 1148))],
+     (1196, 7168, 31187, 77962, 145142, 1148))],
     ids=["depth-2", "depth-3", "depth-4", "depth-5"])
 def test_cold_facemap_verify_work_counts(tower, tables, bounds, monkeypatch):
     # work counts do not depend on the machine: a certificate that gets
     # dearer shows up here even where wall times are noise.  The bounds
-    # are the counts of the cheapest-first certificate order with reach
-    # screening and one rate system per face set, on the commuted path of
-    # the level loops, derived once per stage and replayed for each of
-    # the three projections, each prefix replayed once per verify.  The
-    # weight checks add no engine work: they read the top-stage spaces
-    # the table loop built.  Every verify is cold: the engine keeps no
-    # state between calls.
+    # are the counts of the cheapest-first certificate order, with reach
+    # screening of the faces a blowup can separate from a tracked
+    # diagonal (the only `separated_by` caller) and one rate system per
+    # face set, on the commuted path of the level loops, derived once
+    # per stage and replayed for each of the three projections, each
+    # prefix replayed once per verify.  The weight checks add no engine
+    # work: they read the top-stage spaces the table loop built.  Every
+    # verify is cold: the engine keeps no state between calls.
     from qhcalc import a_spaces as asp
     counts = count_engine_calls(monkeypatch)
     t = asp.Tower(*tower)
@@ -445,7 +446,7 @@ def test_engine_work_is_call_local(monkeypatch):
     # neither reads what the other replayed
     from qhcalc import a_spaces as asp
     counts = count_engine_calls(monkeypatch)
-    cold = dict(zip(counts, (168, 1212, 2912, 11046, 12842, 64, 3)))
+    cold = dict(zip(counts, (168, 1212, 2912, 8533, 8205, 64, 3)))
     for _ in range(2):
         assert asp.verify_facemaps(asp.CANONICAL_TOWER)["mismatches"] == []
         assert counts == cold
@@ -523,12 +524,48 @@ def test_screened_diag_meets_match_plain_loop(monkeypatch):
     assert dropped > 0          # some step separates a diagonal from a face
 
 
-def test_screened_disjoint_matches_plain_loop(monkeypatch):
-    # one-face diagonals against single faces: the pairs where an earlier
-    # blowup, not the tracked meet sets, can certify disjointness
+def _rescan_separates(space, t1, t2):
+    """The history rescan: does some earlier blowup of the space separate
+    the two loci?  `Space.disjoint` reads only the tracked diagonal meet
+    sets, where `blowup` records each separation it makes."""
+    return any(space.separated_by(t1, t2, st) for st in space.history)
+
+
+def test_no_engine_query_needs_a_history_rescan(monkeypatch):
+    # every disjointness the engine asks for in cold verifies at depths
+    # 0-3 and in the diagonal meets of a double space: where `disjoint`
+    # answers False, no earlier blowup separates the pair either.  A
+    # derivation that needed the rescan would raise `RewriteError`; this
+    # names the query instead
+    from qhcalc import a_spaces as asp
+    disjoint, answers, missed = cs.Space.disjoint, [], []
+
+    @cs._memo_scope
+    def guarded(space, t1, t2):
+        out = disjoint(space, t1, t2)
+        answers.append(out)
+        if not out and _rescan_separates(space, t1, t2):
+            missed.append((space.history[-1].label, t1, t2))
+        return out
+
+    monkeypatch.setattr(cs.Space, "disjoint", guarded)
+    for tower in ((0, (1,), 1, ()), (1, (1, 2), 1, (1,)),
+                  (2, (1, 1, 1), 1, (1, 1)),
+                  (3, (1, 1, 1, 1), 1, (1, 1, 1))):
+        assert asp.verify_facemaps(asp.Tower(*tower))["mismatches"] == []
+    d = asp.double_space(asp.CANONICAL_TOWER)
+    assert d.space.psub_meets("diag") == frozenset({"ff_z"})
+    assert missed == []
+    assert len(answers) > 10000 and 0 < sum(answers) < len(answers)
+
+
+def test_history_rescan_reference_can_fire():
+    # the guard's reference is live: on random one-face diagonals against
+    # single faces of the symmetric triple spaces, an earlier blowup
+    # separates some pairs that `disjoint` leaves open
     import random
     rng = random.Random(11)
-    pairs = []
+    separated = 0
     for space in _symmetric_spaces()[5::3]:
         names = space.face_names
         for _ in range(200):
@@ -536,20 +573,7 @@ def test_screened_disjoint_matches_plain_loop(monkeypatch):
                        Merge.diag(rng.sample((1, 2, 3), rng.randint(2, 3)),
                                   rng.randint(-1, 1)),
                        rng.random() < 0.5)
-            pairs.append((space, t1, Locus(frozenset(rng.sample(names, 1)))))
-    got = [space.disjoint(t1, t2) for space, t1, t2 in pairs]
-    _unscreened(monkeypatch)
-    separated = []
-
-    @cs._memo_scope
-    def plain_disjoint(space, t1, t2):
-        joint = Locus(t1.faces | t2.faces, t1.merge.join(t2.merge),
-                      t1.pure and t2.pure)
-        if not space.locus_nonempty_certificate(joint):
-            return True
-        separated.append(any(space.separated_by(t1, t2, st)
-                             for st in space.history))
-        return separated[-1]
-
-    assert got == [plain_disjoint(*pair) for pair in pairs]
-    assert sum(separated) >= 10 and not all(separated)
+            t2 = Locus(frozenset(rng.sample(names, 1)))
+            separated += (not space.disjoint(t1, t2)
+                          and _rescan_separates(space, t1, t2))
+    assert separated >= 10

@@ -746,6 +746,29 @@ def test_spectrum_distance_equals_per_mode_loop():
             assert got["witness"] == witness
 
 
+def test_sum_of_squares_matches_brute_force():
+    # the integer bitmask search against every multiset of squares, on
+    # small grids with rational steps, zeros and repeated values
+    rng = random.Random(30)
+    for _ in range(3000):
+        count = rng.randint(0, 4)
+        den = rng.choice([1, 2, 3, 4])
+        values = [Fraction(rng.randint(0, 8), den)
+                  for _ in range(rng.randint(0, 4))]
+        target = Fraction(rng.randint(0, 60), rng.choice([1, 2, 4, 9, 16]))
+        want = any(sum(c) == target for c in
+                   itertools.combinations_with_replacement(
+                       [v * v for v in values], count))
+        assert ms._is_sum_of_squares(target, count, values) == want
+    # a grid of dimension 7 at radius 10 and step 1/2 decides at once:
+    # 6 * 10^2 + (1/2)^2; 699.75 is below 7 * 10^2 but no sum of these
+    # squares; 700.125 is off the quarter lattice; 701 is above 7 * 10^2
+    grid = [Fraction(i, 2) for i in range(21)]
+    assert ms._is_sum_of_squares(Fraction(2401, 4), 7, grid)
+    for target in (Fraction(2799, 4), Fraction(5601, 8), 701):
+        assert not ms._is_sum_of_squares(target, 7, grid)
+
+
 def test_spectrum_distance_memory_stays_small():
     # the distinct |mu|^2 values replace the dense grid: at radius 5 the
     # grid has 21^4 points, which in one piece took about 60 MB
