@@ -7,12 +7,16 @@ exponent.  We store only the finite antichain of maximal generators;
 every query expands the closure lazily.  All exponents are Gaussian
 rationals, so every comparison in this module is exact.
 
-Points interact only within an integer coset z + Z, keyed by the
-imaginary part and the real part mod 1 (``_coset``).  Within a coset
-the closure is a count per real part, a point (z, p) counting p + 1;
-``normalize`` keeps the terms where the count rises, and under the
-extended union the counts of the arguments add, so ``ext_union_many``
-sweeps each coset once over all its arguments.
+Points interact only within an integer coset z + Z.  The kernels work
+on a transient coset form {(Im num, Im den, r, d): [(q, p), ...]}, real
+part q + r/d with 0 <= r < d, so their arithmetic is on ints: ``_sum``
+adds two coset keys once, then integer parts and log powers.  Within a
+coset the closure is a count per real part, a point (z, p) counting
+p + 1, and under the extended union the counts add: ``_sweep`` passes
+each coset once over all its arguments, each shifted inside the sweep,
+and keeps the terms where the total rises; one set swept alone is its
+antichain.  ``normalize``, ``add``, ``ext_union_many`` and ``shift``
+wrap the two kernels and build IndexTerms only for their results.
 """
 
 from __future__ import annotations
@@ -86,20 +90,14 @@ class IndexTerm:
     def __post_init__(self):
         if not isinstance(self.z, CxRat):
             object.__setattr__(self, "z", cx(self.z))
+        if type(self.p) is not int:
+            raise TypeError("log power must be an int")
         if self.p < 0:
             raise ValueError("log power must be nonnegative")
 
 
 def term(re, im=0, p=0) -> IndexTerm:
     return IndexTerm(cx(re, im), p)
-
-
-def _dominates(a: IndexTerm, b: IndexTerm) -> bool:
-    """True if b lies in the closure generated by a."""
-    if a.z.im != b.z.im or b.p > a.p:
-        return False
-    d = b.z.re - a.z.re
-    return d >= 0 and d.denominator == 1
 
 
 @dataclass(frozen=True)
@@ -133,32 +131,87 @@ EMPTY = IndexSet(frozenset())
 SMOOTH = IndexSet(frozenset({term(0)}))
 
 
-def _coset(z: CxRat) -> tuple:
-    """Key of the integer coset z + Z: imaginary part, real part mod 1.
+def _rat_add(a: int, b: int, c: int, d: int) -> tuple:
+    """a/b + c/d in lowest terms, as (numerator, denominator)."""
+    n, m = a * d + c * b, b * d
+    g = math.gcd(n, m)
+    return n // g, m // g
 
-    Every real part in one coset has the key's denominator, so their
-    numerators order them."""
-    re = z.re
-    return (z.im, re.numerator % re.denominator, re.denominator)
+
+def _key_add(k: tuple, l: tuple) -> tuple:
+    """Coset key of the sums of points of the cosets k and l, and carry."""
+    im = _rat_add(k[0], k[1], l[0], l[1])
+    n, d = _rat_add(k[2], k[3], l[2], l[3])
+    return im + (n % d, d), n // d
+
+
+def _cosets(terms: Iterable[IndexTerm]) -> dict:
+    """Coset form {(Im num, Im den, r, d): [(q, p), ...]}; Re = q + r/d."""
+    out = {}
+    for t in terms:
+        re, im = t.z.re, t.z.im
+        q, r = divmod(re.numerator, re.denominator)
+        out.setdefault((im.numerator, im.denominator, r, re.denominator),
+                       []).append((q, t.p))
+    return out
+
+
+def _indexset(cosets: dict) -> IndexSet:
+    """The index set generated by a coset form."""
+    out = []
+    for (a, b, r, d), qps in cosets.items():
+        im = Fraction(a, b)
+        out.extend(IndexTerm(CxRat(Fraction(q * d + r, d), im), p)
+                   for q, p in qps)
+    return IndexSet(frozenset(out))
+
+
+def _sum(A: dict, B: dict) -> dict:
+    """Pairwise sums of two coset forms, one key sum per pair of cosets."""
+    out = {}
+    for k, xs in A.items():
+        for l, ys in B.items():
+            key, c = _key_add(k, l)
+            out.setdefault(key, []).extend(
+                (q + s + c, p + u) for q, p in xs for s, u in ys)
+    return out
+
+
+def _sweep(parts: Sequence[tuple]) -> dict:
+    """Extended union of coset forms, each (C, a, b) shifted by a - b.
+
+    Per coset, at each real part the count is the sum over the parts of
+    the largest p + 1 each reaches there; the terms sit where it rises.
+    Swept alone, one coset form comes out as its antichain.
+    """
+    groups = {}
+    for i, (C, a, b) in enumerate(parts):
+        n, d = _rat_add(a.numerator, a.denominator,
+                        -b.numerator, b.denominator)
+        if n:       # a shift is a sum with the point (n/d, 0)
+            C = _sum(C, {(0, 1, n % d, d): [(n // d, 0)]})
+        for key, qps in C.items():
+            groups.setdefault(key, []).extend((q, i, p) for q, p in qps)
+    out = {}
+    for key, group in groups.items():
+        group.sort()
+        count, total, emitted = {}, 0, 0
+        keep = out[key] = []
+        for q, at_q in groupby(group, key=itemgetter(0)):
+            for _, i, p in at_q:
+                gain = p + 1 - count.get(i, 0)
+                if gain > 0:
+                    count[i] = p + 1
+                    total += gain
+            if total > emitted:
+                keep.append((q, total - 1))
+                emitted = total
+    return out
 
 
 def normalize(terms: Iterable[IndexTerm]) -> IndexSet:
-    """Antichain of maximal generators; closure-equal inputs agree.
-
-    Per coset, in order of real part (larger log power first), a term is
-    kept when its log power beats every earlier one."""
-    cosets = {}
-    for t in set(terms):
-        cosets.setdefault(_coset(t.z), []).append(t)
-    keep = []
-    for group in cosets.values():
-        group.sort(key=lambda t: (t.z.re.numerator, -t.p))
-        best = -1
-        for t in group:
-            if t.p > best:
-                keep.append(t)
-                best = t.p
-    return IndexSet(frozenset(keep))
+    """Antichain of maximal generators; closure-equal inputs agree."""
+    return _indexset(_sweep([(_cosets(terms), 0, 0)]))
 
 
 def make(*pairs) -> IndexSet:
@@ -173,8 +226,11 @@ def make(*pairs) -> IndexSet:
 
 
 def contains(G: IndexSet, t: IndexTerm) -> bool:
-    """Membership of (z, p) in the closure of G."""
-    return any(_dominates(g, t) for g in G.generators)
+    """Membership of (z, p) in the closure of G: a generator on its coset
+    at or below its real part with at least its log power."""
+    [(key, [(q, p)])] = _cosets([t]).items()
+    return any(s <= q and u >= p
+               for s, u in _cosets(G.generators).get(key, ()))
 
 
 def inf_re(G: IndexSet):
@@ -186,10 +242,8 @@ def inf_re(G: IndexSet):
 
 def add(G: IndexSet, H: IndexSet) -> IndexSet:
     """Pairwise sums of the two closures; empty is absorbing."""
-    if G.is_empty or H.is_empty:
-        return EMPTY
-    return normalize(IndexTerm(g.z + h.z, g.p + h.p)
-                     for g in G.generators for h in H.generators)
+    return _indexset(_sweep([(_sum(_cosets(G.generators),
+                                   _cosets(H.generators)), 0, 0)]))
 
 
 def ext_union(G: IndexSet, H: IndexSet) -> IndexSet:
@@ -204,30 +258,8 @@ def ext_union(G: IndexSet, H: IndexSet) -> IndexSet:
 
 
 def ext_union_many(sets: Sequence[IndexSet]) -> IndexSet:
-    """Extended union of all the sets, one sweep per coset.
-
-    At each real part the result's count is the sum over the sets of
-    the largest count each set reaches there; the generators sit at the
-    real parts where that sum rises.
-    """
-    cosets = {}
-    for i, G in enumerate(sets):
-        for g in G.generators:
-            cosets.setdefault(_coset(g.z), []).append((g.z.re.numerator, i, g))
-    out = []
-    for group in cosets.values():
-        group.sort(key=itemgetter(0))
-        count, total, emitted = {}, 0, 0
-        for _, at_re in groupby(group, key=itemgetter(0)):
-            for _, i, g in at_re:
-                gain = g.p + 1 - count.get(i, 0)
-                if gain > 0:
-                    count[i] = g.p + 1
-                    total += gain
-            if total > emitted:
-                out.append(IndexTerm(g.z, total - 1))
-                emitted = total
-    return IndexSet(frozenset(out))
+    """Extended union of all the sets, one sweep per coset."""
+    return _indexset(_sweep([(_cosets(G.generators), 0, 0) for G in sets]))
 
 
 def shift(G: IndexSet, w) -> IndexSet:
@@ -235,8 +267,7 @@ def shift(G: IndexSet, w) -> IndexSet:
     if w == INF:
         return EMPTY
     w = _as_fraction(w)
-    return IndexSet(frozenset(IndexTerm(g.z + CxRat(w), g.p)
-                              for g in G.generators))
+    return _indexset(_sweep([(_cosets(G.generators), w, 0)])) if w else G
 
 
 def divide(G: IndexSet, e: int) -> IndexSet:

@@ -6,10 +6,11 @@ triple space: pull back along the outer projections, add the composition
 weight vector, push forward along the middle projection, and shift back
 by the double-space weights.  ``composition_plan`` derives that pipeline
 once from the closed face-table rule of the triple projections, so
-``compose`` runs one sum per distinct pair of factor faces, one shift
-per triple face and one extended union per double face; the full
-pullback and pushforward pipeline of ``index_algebra`` along the
-replayed projections is kept as the test oracle for the plan.  The
+``compose`` runs one sum per distinct pair of factor faces and one
+shifted extended union per double face.  These intermediates stay in
+the integer coset form of ``index_algebra``; only the five output sets
+become ``IndexSet``s.  The full pullback and pushforward pipeline along
+the replayed projections is kept as the test oracle for the plan.  The
 deepest-face closed form, the mapping rule for polyhomogeneous inputs,
 adjoints, conjugation, the parametrix remainder ledger and the
 compactness thresholds are all stated at this class level.  Nothing
@@ -128,25 +129,31 @@ def composition_plan() -> tuple:
 def compose(P: OperatorClass, Q: OperatorClass) -> OperatorClass:
     """Class of the composite operator via the compiled triple-space plan.
 
-    Requires inf Re of P at the right face plus Q at the left face to be
-    strictly positive; the same condition surfaces as a pushforward
-    violation at the face projecting onto the whole double space.
+    The pair sums and the shifted sweeps stay in coset form; only the
+    five output index sets become ``IndexSet``s.  Requires inf Re of P
+    at the right face plus Q at the left face to be strictly positive;
+    the same condition surfaces as a pushforward violation at the face
+    projecting onto the whole double space.
     """
     t = _composition_tower(P, Q)
     _require_integrable(P.family["rf"], Q.family["lf"], "rf/lf")
     from . import densities as dn
     pairs, null, terms = composition_plan()
-    sums = {}
-    for pf, qf in pairs:
-        sets = [P.family[f] for f in pf] + [Q.family[f] for f in qf]
-        sums[pf, qf] = reduce(add, sets) if sets else SMOOTH
     W_a = dn.triple_weights(t).W_a
-    violations = [g for g, pq in null if inf_re(sums[pq]) + W_a[g] <= 0]
+    violations = [g for g, (pf, qf) in null if W_a[g] + sum(map(inf_re, [
+        P.family[f] for f in pf] + [Q.family[f] for f in qf])) <= 0]
     if violations:
         raise NonIntegrable(violations)
-    w_a = dn.double_weights(t).w_a
-    K = {h: ext_union_many([shift(sums[pq], W_a[g] - w_a[h])
-                            for g, pq in terms[h]])
+    cP, cQ = ({f: ia._cosets(X.family[f].generators) for f in DOUBLE_FACES}
+              for X in (P, Q))
+    sums = {}
+    for pf, qf in pairs:
+        sets = [cP[f] for f in pf] + [cQ[f] for f in qf]
+        sums[pf, qf] = (reduce(ia._sum, sets) if sets
+                        else ia._cosets(SMOOTH.generators))
+    W, w = W_a.assignment, dn.double_weights(t).w_a.assignment
+    K = {h: ia._indexset(ia._sweep([(sums[pq], W.get(g, 0), w.get(h, 0))
+                                    for g, pq in terms[h]]))
          for h in DOUBLE_FACES}
     return OperatorClass(_order_sum(P.order, Q.order),
                          IndexFamily(DOUBLE_FACES, K), t)
@@ -177,8 +184,10 @@ def act(P: OperatorClass, I: IndexSet) -> IndexSet:
     strictly positive.
     """
     _require_integrable(P.family["rf"], I, "rf")
-    J = P.family
-    return ext_union_many([J["lf"]] + [add(J[f], I) for f in DOUBLE_FACES[2:]])
+    J, cI = P.family, ia._cosets(I.generators)
+    return ia._indexset(ia._sweep([(ia._cosets(J["lf"].generators), 0, 0)] + [
+        (ia._sum(ia._cosets(J[f].generators), cI), 0, 0)
+        for f in DOUBLE_FACES[2:]]))
 
 
 def adjoint(P: OperatorClass) -> OperatorClass:

@@ -287,3 +287,15 @@ def test_serialization_roundtrip():
 def test_family_requires_totality():
     with pytest.raises(ValueError):
         ia.IndexFamily(("a", "b"), {"a": EMPTY})
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, True, False, "1", Fraction(1)])
+def test_log_power_must_be_an_int(p):
+    with pytest.raises(TypeError, match="log power must be an int"):
+        term(0, 0, p)
+
+
+def test_negative_log_power_is_a_value_error():
+    with pytest.raises(ValueError, match="nonnegative"):
+        term(0, 0, -1)
+    assert term(0, 0, 3).p == 3

@@ -1,11 +1,12 @@
 """Property tests: the coset-sweep index-set kernels against references.
 
 ``normalize`` is compared with the quadratic domination scan it
-replaced, and ``ext_union_many``, ``add``, ``divide`` and
-``pushforward_family`` with the closure windows of ``closure_window``,
-which expands generators by the defining rules alone.  Exponents mix
-imaginary parts and denominators, so distinct cosets share real parts
-mod 1 or imaginary parts, and input sets may hold dominated terms.
+replaced, and ``ext_union_many``, the shifted sweep under it, ``add``,
+``divide`` and ``pushforward_family`` with the closure windows of
+``closure_window``, which expands generators by the defining rules
+alone.  Exponents mix imaginary parts and denominators, so distinct
+cosets share real parts mod 1 or imaginary parts, and input sets may
+hold dominated terms.
 """
 
 from fractions import Fraction
@@ -14,10 +15,11 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhcalc.index_algebra import (EMPTY, IndexSet, IndexTerm, add,
+from qhcalc import index_algebra as ia
+from qhcalc.index_algebra import (EMPTY, CxRat, IndexSet, IndexTerm, add,
                                   closure_window, cx, divide, ext_union,
                                   ext_union_many, family, inf_re, normalize,
-                                  pushforward_family)
+                                  pushforward_family, shift)
 from test_index_algebra import StubMap, oracle_add, window_ext_union
 
 W_RE, W_P = Fraction(3), 8
@@ -31,6 +33,7 @@ terms = st.builds(
     st.sampled_from((0, 0, 1, -1, Fraction(1, 2))), st.integers(0, 3))
 # raw generator sets: closures are well defined without an antichain
 raw_sets = st.lists(terms, max_size=4).map(lambda ts: IndexSet(frozenset(ts)))
+shifts = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
 
 
 # -- references --------------------------------------------------------------
@@ -62,6 +65,12 @@ def window_divide(G, e):
     return frozenset((r / e, i / e, p) for r, i, p in window(G, e * W_RE))
 
 
+def shifted(G, w):
+    """G with every generator moved by the rational w, term by term."""
+    return IndexSet(frozenset(IndexTerm(g.z + CxRat(w), g.p)
+                              for g in G.generators))
+
+
 # -- properties ----------------------------------------------------------------
 
 @PROPS
@@ -79,6 +88,25 @@ def test_ext_union_many_matches_window_fold_and_pairwise_fold(sets):
     assert got.generators == quadratic_normalize(got.generators)
     assert window(got) == window_fold(window(G) for G in sets)
     assert got == reduce(ext_union, sets, EMPTY)
+
+
+@PROPS
+@given(st.lists(st.tuples(raw_sets, shifts, shifts), min_size=1, max_size=4))
+def test_shifted_sweep_matches_window_fold_of_shifted_sets(parts):
+    # each part (G, a, b) is swept shifted by a - b
+    got = ia._indexset(ia._sweep([(ia._cosets(G.generators), a, b)
+                                  for G, a, b in parts]))
+    assert got.generators == quadratic_normalize(got.generators)
+    assert window(got) == window_fold(window(shifted(G, a - b))
+                                      for G, a, b in parts)
+
+
+@PROPS
+@given(raw_sets, shifts)
+def test_shift_moves_the_closure_and_zero_keeps_the_set(G, w):
+    assert window(shift(G, w)) == window(shifted(G, w))
+    for zero in (0, Fraction(0), "0"):
+        assert shift(G, zero) is G
 
 
 @PROPS

@@ -404,3 +404,29 @@ def test_composition_needs_depth_2():
     for fn in (oc.compose, oc.ffz_closed_form):
         with pytest.raises(ValueError, match="needs tower depth 2"):
             fn(P, P)
+
+
+def test_compose_and_act_build_no_intermediate_index_set(monkeypatch):
+    # the pair sums, shifts and sweeps stay in coset form: with the
+    # set-level operations disabled, compose and act still answer
+    rng = random.Random(97)
+    while True:
+        t = Tower(2, (1, rng.randint(1, 3), rng.randint(1, 3)),
+                  rng.randint(0, 3), (rng.randint(0, 3), rng.randint(0, 3)))
+        P, Q = rand_full_class(rng, t), rand_full_class(rng, t)
+        I = rand_face_set(rng)
+        try:
+            R, image = oc.compose(P, Q), oc.act(P, I)
+        except oc.NonIntegrable:
+            continue
+        if all(R.family[f] for f in oc.DOUBLE_FACES) and image:
+            break
+
+    def refuse(*args):
+        raise AssertionError("an intermediate IndexSet was built")
+    for module in (ia, oc):
+        for name in ("add", "shift", "normalize", "ext_union_many"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert oc.compose(P, Q) == R
+    assert oc.act(P, I) == image
