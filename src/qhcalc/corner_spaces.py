@@ -35,9 +35,11 @@ as `from_pairs` and `reduce_by` can merge a pair at a level but not at
 a shallower one.  `join` is a per-level union-find with a bounded cache.
 A `Locus` stores its hash, as a `Merge` does.  A `Face` keeps its
 valuations in a dict; a `Space` indexes faces, level dimensions, tracked
-diagonal meet sets and registered submanifolds by key, and keeps its
-strata as bitmasks over face positions (faces are only appended), so
-`meets`, `neighborhood` and the face closure of a locus are bit work.
+diagonal meet sets and registered submanifolds by key.  Its strata and
+the meet sets are bitmasks over face positions (faces are only appended,
+so a bit names the same face in every later space), so `meets`,
+`neighborhood`, the face closure of a locus and a meet-set test are bit
+work.
 A `BMap` stores its exponent matrix by rows, each domain face mapped to
 its ((codomain face, e), ...) nonzeros, so an entry or a face image
 reads one row and composition joins rows.
@@ -367,7 +369,7 @@ class Space:
     dims: tuple                    # ((level, dim), ...), level -1 first
     faces: tuple
     strata: frozenset              # maximal jointly-meeting face bitmasks
-    diag_meets: tuple              # (((factors, level), face-set), ...)
+    diag_meets: tuple              # (((factors, level), face mask), ...)
     registry: tuple                # ((name, PSub), ...)
     history: tuple = ()
     _index: dict = field(init=False, repr=False, compare=False)
@@ -553,8 +555,8 @@ class Space:
             fm = self._faces_merged(locus.faces)
             inside = [(p, m.maxlevel(p)) for p in m.all_pairs()
                       if fm.maxlevel(p) < m.maxlevel(p)]
-        if not all(locus.faces <= self._tracked.get(key, locus.faces)
-                   for key in inside):
+        lm = self._mask(locus.faces)
+        if any(lm & ~self._tracked.get(key, lm) for key in inside):
             return False
         if not locus.faces:
             return True
@@ -753,7 +755,7 @@ def product_space(n_factors: int, dims, name: str = "",
     for r in range(2, n_factors + 1):
         for s in itertools.combinations(range(1, n_factors + 1), r):
             for l in levels:
-                dmeets.append(((frozenset(s), l), frozenset(face_names)))
+                dmeets.append(((frozenset(s), l), (1 << n_factors) - 1))
     return Space(name or f"product^{n_factors}", n_factors, all_dims,
                  faces, strata, tuple(dmeets), ())
 
@@ -927,18 +929,20 @@ def blowup(space: Space, center, a: int, label: str = ""):
     strata = _new_strata(space, c)
 
     # faces whose reach holds the center: only they can be separated
-    cmask = space._mask(c.faces)
-    separable = {f.name: Locus(frozenset({f.name}))
+    cmask, ffbit = space._mask(c.faces), 1 << len(space.faces)
+    separable = {1 << k: Locus(frozenset({f.name}))
                  for k, f in enumerate(space.faces)
                  if not cmask & ~space._reach(1 << k)}
     new_dmeets = []
     for key, ms in space.diag_meets:
         dloc = _tracked_diag(key)
-        out = {h for h in ms if h not in separable
-               or not space.separated_by(dloc, separable[h], step)}
-        if c.faces <= ms and not space.disjoint(dloc, c):
-            out.add(label)
-        new_dmeets.append((key, frozenset(out)))
+        out = ms
+        for bit, h in separable.items():
+            if ms & bit and space.separated_by(dloc, h, step):
+                out &= ~bit
+        if not cmask & ~ms and not space.disjoint(dloc, c):
+            out |= ffbit
+        new_dmeets.append((key, out))
 
     lifted = ((name, _lift(space, ps, step)) for name, ps in space.registry)
     new_reg = tuple((name, ps) for name, ps in lifted if ps is not None)

@@ -218,6 +218,22 @@ def test_diag_tracking_through_double_space():
     assert sp.psub_meets("diag") == frozenset({"ffz"})
 
 
+def test_loci_on_unknown_faces_are_certified_empty():
+    # a locus naming a face the space lacks is provably empty: the
+    # certificates answer without a KeyError from the face masks
+    sp = product_space(2, {0: 1, 1: 1}, face_names=("lf", "rf"))
+    sp, _ = blowup(sp, corner("lf", "rf"), 1, "ffx")
+    known = diag_locus({1, 2}, 0, "ffx")
+    assert sp.locus_nonempty_certificate(known)
+    for locus in (corner("nope"), diag_locus({1, 2}, 0, "nope"),
+                  diag_locus({1, 2}, 0, "ffx", "nope"),
+                  Locus(frozenset({"ffx", "nope"}), Merge.diag({1, 2}, 0),
+                        pure=False)):
+        assert sp.locus_nonempty_certificate(locus) is False
+        assert sp.disjoint(locus, known) is True
+        assert sp.disjoint(known, locus) is True
+
+
 def test_export_dot_mentions_all_faces():
     sp = quadrant()
     s1, _ = blowup(sp, corner("x1", "x2"), 1, "ff")
@@ -492,20 +508,35 @@ def test_reach_bounds_every_closure(monkeypatch):
 
 
 @cs.replay_scope()
-def _symmetric_spaces():
-    from qhcalc import a_spaces as asp
-    seq = asp.symmetric_triple_seq(asp.CANONICAL_TOWER)
+def _replayed_spaces(seq):
     return [replay(seq, n)[0] for n in range(len(seq.entries) + 1)]
 
 
+def _symmetric_spaces():
+    from qhcalc import a_spaces as asp
+    return _replayed_spaces(asp.symmetric_triple_seq(asp.CANONICAL_TOWER))
+
+
+def _depth4_sequences():
+    # the top-stage symmetric and commuted sequences of the depth-4 count
+    # tower of `test_cold_facemap_verify_work_counts`
+    from qhcalc import a_spaces as asp
+    t = asp.Tower(4, (1, 2, 1, 3, 1), 0, (1, 0, 2, 1))
+    stage = asp.stage_name(t.k)
+    return (asp.symmetric_triple_seq(t, stage),
+            asp.commuted_triple_seq(t, stage))
+
+
 def test_screened_diag_meets_match_plain_loop(monkeypatch):
-    spaces = _symmetric_spaces()
+    runs = [_symmetric_spaces()] + [_replayed_spaces(seq)
+                                    for seq in _depth4_sequences()]
     _unscreened(monkeypatch)
 
     @cs._memo_scope
     def plain_diag_meets(space, step):
         out = {}
-        for key, ms in space.diag_meets:
+        for key, m in space.diag_meets:
+            ms = frozenset(space._names(m))
             dloc = diag_locus(*key)
             met = {h for h in ms if not space.separated_by(
                 dloc, Locus(frozenset({h})), step)}
@@ -515,13 +546,15 @@ def test_screened_diag_meets_match_plain_loop(monkeypatch):
             out[key] = frozenset(met)
         return out
 
-    dropped = 0
-    for prev, new in zip(spaces, spaces[1:]):
-        want = plain_diag_meets(prev, new.history[-1])
-        assert dict(new.diag_meets) == want
-        dropped += sum(len(prev._tracked[key] - ms)
-                       for key, ms in want.items())
-    assert dropped > 0          # some step separates a diagonal from a face
+    for spaces in runs:
+        dropped = 0
+        for prev, new in zip(spaces, spaces[1:]):
+            want = plain_diag_meets(prev, new.history[-1])
+            assert {key: frozenset(new._names(m))
+                    for key, m in new.diag_meets} == want
+            dropped += sum(len(frozenset(prev._names(prev._tracked[key]))
+                               - ms) for key, ms in want.items())
+        assert dropped > 0      # some step separates a diagonal from a face
 
 
 def _rescan_separates(space, t1, t2):

@@ -174,7 +174,8 @@ def _space_state(S: cs.Space) -> dict:
         "faces": [[f.name, f.step, f.order, _plain(f.v), _plain(f.merged),
                    _plain(f.center)] for f in S.faces],
         "strata": _plain({frozenset(S._names(m)) for m in S.strata}),
-        "diag_meets": _plain(S.diag_meets),
+        "diag_meets": _plain([(key, frozenset(S._names(m)))
+                              for key, m in S.diag_meets]),
         "registry": [[n, _plain(p.locus), _plain(p.order)]
                      for n, p in S.registry],
         "history": [[st.label, _plain(st.center), st.order, st.rank]
