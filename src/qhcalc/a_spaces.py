@@ -13,13 +13,14 @@ into one that starts with a single-factor times double-space prefix.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from . import corner_spaces as cs
 from .corner_spaces import (BlowupSeq, BMap, CenterExpr, Merge, PSub, Space,
-                            bmap_from_entries, bubble_to, compose, replay,
+                            bmap_from_entries, bubble_to, replay,
                             rewrite_step)
 from .tower import (Tower, double_face_names, facemap_rule,  # noqa: F401
                     family_name, normal_bundle_rank, parse_name, reduce,
@@ -119,7 +120,7 @@ def double_space(t: Tower) -> ASpaceDouble:
     diagonal ends up meeting only the deepest front face.
     """
     seq = _double_seq(t)
-    space, maps = replay(seq)
+    space = replay(seq)
     factor = single_factor_space(t)
     entries_l = [(g, "bf", space.val(g, ("x", 1))) for g in space.face_names]
     entries_r = [(g, "bf", space.val(g, ("x", 2))) for g in space.face_names]
@@ -251,13 +252,12 @@ def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
     """Build the stage triple space and its three projections.
 
     The space itself is the symmetric construction.  The commuted
-    sequence is derived once and relabelled for each index.  Projection
-    i composes the blowdown maps of its own replay onto the index-i
-    prefix (the single factor times the double space) with the product
-    projection, re-based onto the symmetric space through the canonical
-    face naming.  The build keeps the index-1 commuted replay.
+    sequence is derived once and relabelled for each index; projection
+    i is read off its own replay and re-based onto the symmetric space
+    through the canonical face naming.  The build keeps the index-1
+    commuted replay.
     """
-    space, _ = replay(symmetric_triple_seq(t, stage))
+    space = replay(symmetric_triple_seq(t, stage))
     dbl = double_space(reduce(t, stage_level(stage)))
     com = commuted_triple_seq(t, stage)
     (p1, commuted), (p2, _), (p3, _) = (
@@ -267,23 +267,23 @@ def triple_space(t: Tower, stage: str = "z") -> ASpaceTriple:
 
 def _triple_projection(com: BlowupSeq, stage: str, i: int, sym_space: Space,
                        dbl: ASpaceDouble):
-    """Projection i, and the commuted replay it is read from."""
+    """Projection i, and the commuted replay it is read from.  Past the
+    index-i prefix (the single factor times the double space) a blowdown
+    maps a front face onto its center's faces with exponent 1."""
     level = stage_level(stage)
-    _, maps = replay(relabel_seq(com, i))
-    chain = maps[-1]
-    for beta in reversed(maps[level + 1:-1]):
-        chain = compose(chain, beta)
+    space = replay(relabel_seq(com, i))
     left, right = sorted({1, 2, 3} - {i})
-    entries = [(f"H_{left}", "lf", 1), (f"H_{right}", "rf", 1)]
+    rows = defaultdict(Counter)     # unseeded faces map to the interior
+    rows[f"H_{left}"]["lf"] = rows[f"H_{right}"]["rf"] = 1
     for l, ff in enumerate(double_face_names(level)[2:]):
-        entries.append((family_name(0, i, l), ff, 1))
-    full = compose(chain, bmap_from_entries(chain.codomain, dbl.space,
-                                            entries))
-    # the commuted replay names faces canonically, so the exponent data
-    # transfers to the symmetric space verbatim
-    if set(full.domain.face_names) != set(sym_space.face_names):
+        rows[family_name(0, i, l)][ff] = 1
+    for f in space.faces[level + 4:]:
+        rows[f.name] = sum((rows[h] for h in f.center.faces), Counter())
+    if set(space.face_names) != set(sym_space.face_names):
         raise cs.EngineUnsupported("commuted replay face names diverged")
-    return bmap_from_entries(sym_space, dbl.space, full.exponents), full.domain
+    return bmap_from_entries(sym_space, dbl.space, [
+        (g, h, e) for g in space.face_names
+        for h, e in sorted(rows[g].items())]), space
 
 
 def face_table(proj: BMap) -> dict:
@@ -363,6 +363,6 @@ def triple_projection_tables() -> tuple:
     symmetry.
     """
     t, dbl = CANONICAL_TOWER, double_space(CANONICAL_TOWER)
-    space, _ = replay(symmetric_triple_seq(t))
+    space = replay(symmetric_triple_seq(t))
     p1, _ = _triple_projection(commuted_triple_seq(t), "z", 1, space, dbl)
     return (p1,) + tuple(relabel_projection(p1, i) for i in (2, 3))

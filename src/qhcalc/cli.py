@@ -408,7 +408,7 @@ def _dot(t: Tower, which: str) -> str:
     if which == "double":
         space = asp.double_space(t).space
     else:
-        space, _ = cs.replay(asp.symmetric_triple_seq(t))
+        space = cs.replay(asp.symmetric_triple_seq(t))
     return cs.export_dot(space, f"{which} space")
 
 

@@ -48,9 +48,11 @@ Memo scope.  `canon_merge`, `_closure`, `_reach`, `neighborhood` and
 the rate system of each (face set, level -1 blocks) are pure, and are
 memoized, one dict per method, inside the scope that `blowup` opens on
 its space for the one step; outside it they are computed afresh.
-`replay_scope` keeps the prefixes one engine call replays, so no space
-outlives its call.  Certificates test merge data and reach bitmasks
-first, so few lookups reach a closure.
+`replay_scope` keeps one space per prefix that one engine call replays,
+so no space outlives its call.  A prefix shares each step's history
+entry with the prefixes after it, and no blowdown map is kept, as a
+front face records its center.  Certificates test merge data and reach
+bitmasks first, so few lookups reach a closure.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ def _symkey(s):
 
 # ---------------------------------------------------------------------------
 # merge specifications: one partition of the factor set per coordinate level
+
+_pair = functools.lru_cache(maxsize=1024)(frozenset)    # one per factor pair
+
 
 def _partition(groups) -> frozenset:
     """Union-find closure of the groups; blocks of size < 2 are dropped."""
@@ -130,7 +135,7 @@ class Merge:
         for l, blks in blocks:
             for b in blks:
                 for p in itertools.combinations(sorted(b), 2):
-                    p = frozenset(p)
+                    p = _pair(p)
                     pairs.add((l, p))
                     deep[p] = max(deep.get(p, -2), l)
         set_ = functools.partial(object.__setattr__, self)
@@ -330,6 +335,8 @@ class Step:
     center: Locus
     order: int
     rank: int                      # interior rank of the residual cut
+    # the `_hist` entry: (front face bit, center face mask, center merge)
+    hist: tuple = field(repr=False, compare=False)
 
 
 def _memo_scope(fn):
@@ -392,9 +399,7 @@ class Space:
                                  if f.val(("x", i)) > f.val(("x", j)))
                      for i, j in itertools.permutations(
                          range(1, self.n_factors + 1), 2)})
-        set_("_hist", tuple((1 << self._index[st.label],
-                             self._mask(st.center.faces), st.center.merge)
-                            for st in self.history))
+        set_("_hist", tuple(st.hist for st in self.history))
 
     # -- basic queries --------------------------------------------------
 
@@ -833,36 +838,35 @@ def _residual_cut(space: Space, center: Locus, face_merged: Merge,
     return cm > face_merged.maxlevel(pair)
 
 
-def _all_symbols(space: Space):
-    syms = [("x", i) for i in range(1, space.n_factors + 1)]
-    for i, j in itertools.combinations(range(1, space.n_factors + 1), 2):
-        for l in space.levels:
-            syms.append(("d", l, frozenset({i, j})))
-    return syms
+@functools.lru_cache(maxsize=64)
+def _all_symbols(n_factors: int, levels: tuple) -> tuple:
+    """Reference functions of a space shape, sorted by `_symkey`."""
+    syms = [("x", i) for i in range(1, n_factors + 1)]
+    for p in itertools.combinations(range(1, n_factors + 1), 2):
+        syms += [("d", l, _pair(p)) for l in levels]
+    return tuple(sorted(syms, key=_symkey))
 
 
 def _new_strata(space: Space, center: Locus) -> frozenset:
     """Strata after blowing up the center; the front face is the next bit."""
     cmask = space._mask(center.faces)
     ff = 1 << len(space.faces)
-    all_old = set()                # every subset of an old stratum
-    for m in space.strata:
-        sub = m
-        while True:
-            all_old.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & m
-    if center.is_corner:
+    holding = [m for m in space.strata if m & cmask == cmask]
+    if center.is_corner:           # star subdivision
         new = {m for m in space.strata if m & cmask != cmask}
-        new.update(b | ff for b in all_old
-                   if b | cmask in all_old and b & cmask != cmask)
-    else:
-        new = set(space.strata)
-        for tot in {b | cmask for b in all_old} & all_old:
-            if not space.disjoint(center,
-                                  Locus(frozenset(space._names(tot)))):
-                new.add(tot | ff)
+        new.update(m & ~(1 << space._index[f]) | ff
+                   for m in holding for f in center.faces)
+    else:                          # the face sets holding the center
+        new, tots = set(space.strata), set()
+        for m in holding:
+            sub = rest = m & ~cmask
+            while True:
+                tots.add(sub | cmask)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+        new.update(tot | ff for tot in tots if not space.disjoint(
+            center, Locus(frozenset(space._names(tot)))))
     maximal = []
     for s in sorted(new, key=int.bit_count, reverse=True):
         if not any(s & t == s for t in maximal):
@@ -913,23 +917,22 @@ def blowup(space: Space, center, a: int, label: str = ""):
     if label in space._index:
         raise BlowupError(f"face name {label} already in use")
 
-    step = Step(label, c, a, center_rank(space, c))
+    cmask, ffbit = space._mask(c.faces), 1 << len(space.faces)
+    step = Step(label, c, a, center_rank(space, c), (ffbit, cmask, c.merge))
     face_merged = space._faces_merged(c.faces)
     vals = []
-    for s in _all_symbols(space):
+    for s in _all_symbols(space.n_factors, space.levels):
         o = sum(space.val(f, s) for f in c.faces)
         if s[0] == "d" and _residual_cut(space, c, face_merged, s[1], s[2]):
             o += a
         if o:
             vals.append((s, o))
-    vals.sort(key=lambda so: _symkey(so[0]))
     ff = Face(label, len(space.history), a, tuple(vals),
               merged_of_new_face(space, c), c)
 
     strata = _new_strata(space, c)
 
     # faces whose reach holds the center: only they can be separated
-    cmask, ffbit = space._mask(c.faces), 1 << len(space.faces)
     separable = {1 << k: Locus(frozenset({f.name}))
                  for k, f in enumerate(space.faces)
                  if not cmask & ~space._reach(1 << k)}
@@ -1037,20 +1040,20 @@ def replay_scope():
 
 
 @replay_scope()
-def replay(seq: BlowupSeq, upto: Optional[int] = None):
-    """Execute the sequence; returns (space, list of blowdown maps).
+def replay(seq: BlowupSeq, upto: Optional[int] = None) -> Space:
+    """Execute the sequence (its first `upto` entries); returns the space.
 
     Each prefix runs once per replay scope, and a replay opens its own.
+    A front face records its center, so the blowdown maps are not kept.
     """
     entries = seq.entries[:upto]
     if not entries:
-        return seq.base, []
+        return seq.base
     key = (seq.base, entries)
     if key not in _replays:
-        prev, maps = replay(seq, len(entries) - 1)
         e = entries[-1]
-        space, beta = blowup(prev, e.locus(), e.order, e.label)
-        _replays[key] = space, maps + [beta]
+        _replays[key], _ = blowup(replay(seq, len(entries) - 1), e.locus(),
+                                  e.order, e.label)
     return _replays[key]
 
 
@@ -1074,7 +1077,7 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
         if y.label in w.faces:
             raise RewriteError(
                 f"{w.label} references the front face of {y.label}")
-        space, _ = replay(seq, p)
+        space = replay(seq, p)
         if not space.disjoint(y.locus(), w.locus()):
             raise RewriteError(
                 f"no disjointness certificate for {y.label} / {w.label}")
@@ -1087,7 +1090,7 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
                 f"{b_e.label} references the front face of {a_e.label}")
         if a_e.order != b_e.order:
             raise RewriteError("nested swap needs equal blowup orders")
-        space, _ = replay(seq, p)
+        space = replay(seq, p)
         A, B = a_e.locus(), b_e.locus()
         if not space.locus_contained_in(A, B):
             raise RewriteError(f"{a_e.label} not contained in {b_e.label}")
@@ -1104,7 +1107,7 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
         if y_e.label in w_e.faces or a_e.label in w_e.faces:
             raise RewriteError(
                 f"{w_e.label} must be expressible before {y_e.label}")
-        space, _ = replay(seq, p)
+        space = replay(seq, p)
         Y, W = y_e.locus(), w_e.locus()
         A = Locus(Y.faces | W.faces, Y.merge.join(W.merge))
         pm_y = merged_of_new_face(space, Y)

@@ -101,7 +101,7 @@ def test_triple_face_names_follow_the_symmetric_replay():
     # the engine-free face order that the composition plan reads
     for t, stage in [(T, s) for s in "xyz"] + [
             (Tower(3, (1, 2, 1, 3), 0, (1, 0, 2)), "u")]:
-        space, _ = cs.replay(asp.symmetric_triple_seq(t, stage))
+        space = cs.replay(asp.symmetric_triple_seq(t, stage))
         assert space.face_names == asp.triple_face_names(
             asp.stage_level(stage))
 
@@ -195,7 +195,7 @@ def test_isomorphism_rejects_every_order_mutation():
     # negative control: changing one blowup order of the commuted (1,3,1)
     # sequence changes some face's valuations or cumulative weight
     t = Tower(2, (1, 3, 1), 1, (1, 1))
-    sym, _ = cs.replay(asp.symmetric_triple_seq(t))
+    sym = cs.replay(asp.symmetric_triple_seq(t))
     com = asp.commuted_triple_seq(t)
     mutations = 0
     for k, e in enumerate(com.entries):
@@ -204,7 +204,7 @@ def test_isomorphism_rejects_every_order_mutation():
             entries[k] = dataclasses.replace(e, order=a)
             mutations += 1
             try:
-                Y, _ = cs.replay(cs.BlowupSeq(com.base, tuple(entries)))
+                Y = cs.replay(cs.BlowupSeq(com.base, tuple(entries)))
             except (ValueError, cs.EngineUnsupported):
                 continue
             assert cs.isomorphic(sym, Y, incidence="within") is None, \
@@ -288,12 +288,59 @@ def test_a_function_member():
     assert a_function_member(t, FormalASeries(((6, 2),)))
 
 
+def _blowdowns(space, entries):
+    """The space after blowing up the entries in turn, and each step's
+    blowdown map."""
+    maps = []
+    for e in entries:
+        space, beta = cs.blowup(space, e.locus(), e.order, e.label)
+        maps.append(beta)
+    return space, maps
+
+
+def composed_projection(t, stage, i):
+    """Projection i as the composite of the blowdowns past the index-i
+    prefix (the single factor times the double space) with the prefix's
+    product projection onto the double space."""
+    level = asp.stage_level(stage)
+    seq = asp.relabel_seq(asp.commuted_triple_seq(t, stage), i)
+    _, maps = _blowdowns(seq.base, seq.entries)
+    chain = maps[-1]
+    for beta in reversed(maps[level + 1:-1]):
+        chain = cs.compose(chain, beta)
+    left, right = sorted({1, 2, 3} - {i})
+    entries = [(f"H_{left}", "lf", 1), (f"H_{right}", "rf", 1)]
+    for l, ff in enumerate(double_face_names(level)[2:]):
+        entries.append((asp.family_name(0, i, l), ff, 1))
+    dbl = double_space(reduce(t, level)).space
+    return cs.compose(chain, cs.bmap_from_entries(chain.codomain, dbl,
+                                                  entries))
+
+
+@pytest.mark.parametrize("t", [
+    Tower(0, (1,), 1, ()), Tower(1, (1, 2), 0, (1,)),
+    Tower(2, (1, 3, 1), 1, (1, 1)), Tower(3, (1, 1, 2, 1), 1, (1, 0, 1))],
+    ids=["depth-0", "depth-1", "depth-2", "depth-3"])
+@cs.replay_scope()
+def test_projection_rows_equal_composed_blowdowns(t):
+    # each projection reads a front face's row as the sum of its center
+    # faces' rows; composing every blowdown map gives the same rows
+    for stage in map(asp.stage_name, range(t.k + 1)):
+        trip = triple_space(t, stage)
+        for i in (1, 2, 3):
+            want = composed_projection(t, stage, i)
+            got = trip.projections[i - 1]
+            assert got.rows == want.rows, (stage, i)
+            assert got.domain is trip.space and got.codomain.face_names == \
+                want.codomain.face_names
+
+
 def test_projection_equals_blowdown_composition():
     # the stored projection agrees with explicitly composing the three
     # blowdown maps with the factor projection
     t = T
     seq = asp._double_seq(t)
-    space, maps = cs.replay(seq)
+    space, maps = _blowdowns(seq.base, seq.entries)
     total = maps[-1]
     for beta in reversed(maps[:-1]):
         total = cs.compose(total, beta)
@@ -311,7 +358,7 @@ def test_deep_axis_centers_pairwise_disjoint_at_blowup_time():
     # earlier stages are blown up, certified by the engine
     seq = asp.symmetric_triple_seq(T)
     idx = seq.index_of("E_{1,z}")
-    space, _ = cs.replay(seq, idx)
+    space = cs.replay(seq, idx)
     centers = [seq.entries[seq.index_of(f"E_{{{i},z}}")].locus()
                for i in (1, 2, 3)]
     for i in range(3):

@@ -144,8 +144,8 @@ def test_rewrite_rule1_requires_certificate():
     # axes are disjoint after the corner blowup
     out = rewrite_step(seq, 1, 1)
     assert out.labels() == ("V", "E2", "E1")
-    A, _ = replay(seq)
-    B, _ = replay(out)
+    A = replay(seq)
+    B = replay(out)
     assert isomorphic(A, B) is not None
     # corner vs axis are not disjoint
     with pytest.raises(cs.RewriteError):
@@ -161,8 +161,8 @@ def test_rewrite_rule2_nested():
     out = rewrite_step(seq, 2, 0)
     assert out.labels() == ("E1", "V")
     assert out.entries[1].faces == ("E1", "H_1")
-    A, _ = replay(seq)
-    B, _ = replay(out)
+    A = replay(seq)
+    B = replay(out)
     bij = isomorphic(A, B)
     assert bij == {f: f for f in A.face_names}
 
@@ -177,11 +177,11 @@ def test_rewrite_preserves_space_across_script():
         CenterExpr("D", ("V",), Merge.diag({1, 2, 3}, 0), 2),
     )
     seq = BlowupSeq(sp, entries)
-    A, _ = replay(seq)
+    A = replay(seq)
     s = rewrite_step(seq, 1, 1)      # swap the two axes
     s = rewrite_step(s, 2, 0)        # corner into the first axis
     for step in (s,):
-        B, _ = replay(step)
+        B = replay(step)
         assert isomorphic(A, B, incidence="within") is not None
 
 
@@ -280,8 +280,8 @@ def test_blowup_script_roundtrip_json():
     data = seq_to_json(seq)
     back = seq_from_json(sp, data)
     assert back.entries == seq.entries
-    A, _ = replay(seq)
-    B, _ = replay(back)
+    A = replay(seq)
+    B = replay(back)
     assert isomorphic(A, B) is not None
 
 
@@ -383,9 +383,9 @@ def test_rewrite_checkpoints_isomorphic():
     # compaction, after every bubble and after each triple exchange
     from qhcalc.a_spaces import Tower
     t = Tower(2, (1, 1, 1), 1, (1, 1))
-    A, _ = replay(hand_path(t, "z", 0))
+    A = replay(hand_path(t, "z", 0))
     for n in (4, 15, 19, 23, 28):
-        B, _ = replay(hand_path(t, "z", n))
+        B = replay(hand_path(t, "z", n))
         assert isomorphic(A, B, incidence="within") is not None
     assert len(hand_path(t, "z").entries) == 21
 
@@ -483,11 +483,28 @@ def test_replay_scope_shares_prefixes_until_the_outermost_exits(
         assert counts["blowup"] == len(seq.entries) == 21
     counts["blowup"] = 0
     with cs.replay_scope():
-        A, _ = replay(seq)
+        A = replay(seq)
         with cs.replay_scope():
-            assert replay(seq, 5)[0] is replay(seq)[1][4].domain
-        assert replay(seq)[0] is A
+            assert replay(seq, 5) is cs._replays[seq.base,
+                                                 seq.entries[:5]]
+        assert replay(seq) is A
     assert counts["blowup"] == 21 and cs._replays is None
+
+
+def test_replay_memo_keeps_one_space_per_prefix():
+    # the memo stores spaces, not blowdown maps, and a prefix's history
+    # entries are the objects of the prefix before it
+    from qhcalc import a_spaces as asp
+    seq = asp.symmetric_triple_seq(asp.CANONICAL_TOWER)
+    with cs.replay_scope():
+        replay(seq)
+        assert len(cs._replays) == 21
+        assert all(type(S) is cs.Space for S in cs._replays.values())
+        spaces = [cs._replays[seq.base, seq.entries[:n]]
+                  for n in range(1, 22)]
+    for prev, new in zip(spaces, spaces[1:]):
+        assert len(new._hist) == len(prev._hist) + 1
+        assert all(a is b for a, b in zip(prev._hist, new._hist))
 
 
 def test_reach_bounds_every_closure(monkeypatch):
@@ -509,7 +526,7 @@ def test_reach_bounds_every_closure(monkeypatch):
 
 @cs.replay_scope()
 def _replayed_spaces(seq):
-    return [replay(seq, n)[0] for n in range(len(seq.entries) + 1)]
+    return [replay(seq, n) for n in range(len(seq.entries) + 1)]
 
 
 def _symmetric_spaces():
@@ -555,6 +572,52 @@ def test_screened_diag_meets_match_plain_loop(monkeypatch):
             dropped += sum(len(frozenset(prev._names(prev._tracked[key]))
                                - ms) for key, ms in want.items())
         assert dropped > 0      # some step separates a diagonal from a face
+
+
+def enumerated_strata(space, center):
+    """Strata after blowing up the center, by enumerating every subset of
+    every stratum and filtering: the reference for `_new_strata`."""
+    cmask = space._mask(center.faces)
+    ff = 1 << len(space.faces)
+    all_old = set()                # every subset of an old stratum
+    for m in space.strata:
+        sub = m
+        while True:
+            all_old.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & m
+    if center.is_corner:
+        new = {m for m in space.strata if m & cmask != cmask}
+        new.update(b | ff for b in all_old
+                   if b | cmask in all_old and b & cmask != cmask)
+    else:
+        new = set(space.strata)
+        for tot in {b | cmask for b in all_old} & all_old:
+            if not space.disjoint(center,
+                                  Locus(frozenset(space._names(tot)))):
+                new.add(tot | ff)
+    return frozenset(s for s in new
+                     if not any(s != t and s & t == s for t in new))
+
+
+def test_new_strata_follow_the_stated_rules():
+    # star subdivision for corner centers and the face sets holding a
+    # diagonal center give the strata of enumerating every subset, at
+    # every step of the depth-2 and depth-4 symmetric and commuted paths
+    from qhcalc import a_spaces as asp
+    seqs = (asp.symmetric_triple_seq(asp.CANONICAL_TOWER),
+            asp.commuted_triple_seq(asp.CANONICAL_TOWER),
+            *_depth4_sequences())
+    kinds = {True: 0, False: 0}
+    for seq in seqs:
+        spaces = _replayed_spaces(seq)
+        for prev, new, e in zip(spaces, spaces[1:], seq.entries):
+            center = e.locus()
+            assert new.strata == cs._memo_scope(enumerated_strata)(
+                prev, center), e.label
+            kinds[center.is_corner] += 1
+    assert kinds == {True: 22, False: 120}
 
 
 def _rescan_separates(space, t1, t2):

@@ -221,7 +221,7 @@ def test_weight_rule_premise_and_densities():
         unit = unit_tower(t.k)
         for build in (lambda t: asp.double_space(t).space,
                       lambda t: cs.replay(asp.symmetric_triple_seq(
-                          t, stage_name(t.k)))[0]):
+                          t, stage_name(t.k)))):
             assert _combinatorics(build(t)) == _combinatorics(build(unit)), t
         w_a0, W_a0, W_a = map(WeightVector, weight_rule(t.k, dn.gamma(t)))
         tw = dn.triple_weights(t)

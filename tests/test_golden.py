@@ -188,8 +188,8 @@ def _engine_state(tower: str) -> str:
     stage = asp.stage_name(t.k)
     com = asp.commuted_triple_seq(t, stage)
     spaces = {"double": asp.double_space(t).space,
-              "symmetric": cs.replay(asp.symmetric_triple_seq(t, stage))[0],
-              "commuted": cs.replay(com)[0]}
+              "symmetric": cs.replay(asp.symmetric_triple_seq(t, stage)),
+              "commuted": cs.replay(com)}
     lines = [["commuted_seq", e] for e in seq_to_json(com)]
     for name, S in spaces.items():
         lines += [[name, part, item]
