@@ -17,7 +17,7 @@ trip = asp.triple_space(t)
 print(f"triple space: {len(trip.space.faces)} boundary hypersurfaces")
 
 print("\ncommuted sequence order:")
-print("  " + ", ".join(st.label for st in trip.commuted.history))
+print("  " + ", ".join(f.name for f in trip.commuted.history))
 
 print("\nface table of the first projection:")
 tbl = asp.face_table(trip.projections[0])

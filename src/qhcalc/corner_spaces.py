@@ -34,12 +34,15 @@ built.  A `Merge` keeps its per-level partitions plus the set of its
 as `from_pairs` and `reduce_by` can merge a pair at a level but not at
 a shallower one.  `join` is a per-level union-find with a bounded cache.
 A `Locus` stores its hash, as a `Merge` does.  A `Face` keeps its
-valuations in a dict; a `Space` indexes faces, level dimensions, tracked
-diagonal meet sets and registered submanifolds by key.  Its strata and
-the meet sets are bitmasks over face positions (faces are only appended,
-so a bit names the same face in every later space), so `meets`,
-`neighborhood`, the face closure of a locus and a meet-set test are bit
-work.
+valuations in a dict; a front face is the one record of its blowup
+step (center, order, rank and the closure rules' entry), and a space's
+`history` is its front faces.  A `Space` indexes faces, level
+dimensions and registered submanifolds by name.  Its strata and
+tracked diagonal meet sets are bitmasks over face positions (faces are
+only appended, so a bit names the same face in every later space), so
+`meets`, `neighborhood`, the face closure of a locus and a meet-set
+test are bit work; the meet sets are masks alone, in the order of the
+key map that `_diag_keys` builds once per space shape.
 A `BMap` stores its exponent matrix by rows, each domain face mapped to
 its ((codomain face, e), ...) nonzeros, so an entry or a face image
 reads one row and composition joins rows.
@@ -49,10 +52,10 @@ the rate system of each (face set, level -1 blocks) are pure, and are
 memoized, one dict per method, inside the scope that `blowup` opens on
 its space for the one step; outside it they are computed afresh.
 `replay_scope` keeps one space per prefix that one engine call replays,
-so no space outlives its call.  A prefix shares each step's history
-entry with the prefixes after it, and no blowdown map is kept, as a
-front face records its center.  Certificates test merge data and reach
-bitmasks first, so few lookups reach a closure.
+so no space outlives its call.  A prefix shares its faces, each step's
+record among them, with the prefixes after it, and keeps no blowdown
+map.  Certificates test merge data and reach bitmasks first, so few
+lookups reach a closure.
 """
 
 from __future__ import annotations
@@ -306,7 +309,7 @@ def _unit_row(n, k, const=0):
 
 
 # ---------------------------------------------------------------------------
-# faces, steps, spaces
+# faces and spaces
 
 @dataclass(frozen=True)
 class Face:
@@ -316,6 +319,9 @@ class Face:
     v: tuple                       # sorted ((symbol, order), ...)
     merged: Merge
     center: Optional[Locus] = None
+    rank: int = 0                  # interior rank of the residual cut
+    # a front face's `_hist` entry: (its bit, center face mask, center merge)
+    hist: Optional[tuple] = field(default=None, repr=False, compare=False)
     _vals: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -327,16 +333,6 @@ class Face:
     @property
     def is_front(self) -> bool:
         return self.step >= 0
-
-
-@dataclass(frozen=True)
-class Step:
-    label: str
-    center: Locus
-    order: int
-    rank: int                      # interior rank of the residual cut
-    # the `_hist` entry: (front face bit, center face mask, center merge)
-    hist: tuple = field(repr=False, compare=False)
 
 
 def _memo_scope(fn):
@@ -376,12 +372,10 @@ class Space:
     dims: tuple                    # ((level, dim), ...), level -1 first
     faces: tuple
     strata: frozenset              # maximal jointly-meeting face bitmasks
-    diag_meets: tuple              # (((factors, level), face mask), ...)
+    diag_meets: tuple              # face masks, in `_diag_keys` order
     registry: tuple                # ((name, PSub), ...)
-    history: tuple = ()
     _index: dict = field(init=False, repr=False, compare=False)
     _dims: dict = field(init=False, repr=False, compare=False)
-    _tracked: dict = field(init=False, repr=False, compare=False)
     _registered: dict = field(init=False, repr=False, compare=False)
     _gt: dict = field(init=False, repr=False, compare=False)
     _hist: tuple = field(init=False, repr=False, compare=False)
@@ -391,7 +385,6 @@ class Space:
         set_ = functools.partial(object.__setattr__, self)
         set_("_index", {f.name: k for k, f in enumerate(self.faces)})
         set_("_dims", dict(self.dims))
-        set_("_tracked", dict(self.diag_meets))
         set_("_registered", dict(self.registry))
         set_("_memo", None)
         # (i, j) -> faces where x_i vanishes to higher order than x_j
@@ -399,9 +392,14 @@ class Space:
                                  if f.val(("x", i)) > f.val(("x", j)))
                      for i, j in itertools.permutations(
                          range(1, self.n_factors + 1), 2)})
-        set_("_hist", tuple(st.hist for st in self.history))
+        set_("_hist", tuple(f.hist for f in self.faces if f.is_front))
 
     # -- basic queries --------------------------------------------------
+
+    @property
+    def history(self) -> tuple:
+        """The front faces, one per blowup step, in blowup order."""
+        return tuple(f for f in self.faces if f.is_front)
 
     def face(self, name: str) -> Face:
         return self.faces[self._index[name]]
@@ -561,7 +559,9 @@ class Space:
             inside = [(p, m.maxlevel(p)) for p in m.all_pairs()
                       if fm.maxlevel(p) < m.maxlevel(p)]
         lm = self._mask(locus.faces)
-        if any(lm & ~self._tracked.get(key, lm) for key in inside):
+        pos = _diag_keys(self.n_factors, self.levels)
+        if any(key in pos and lm & ~self.diag_meets[pos[key]]
+               for key in inside):
             return False
         if not locus.faces:
             return True
@@ -605,19 +605,19 @@ class Space:
             rows += [diff, [-c for c in diff]]
         return _fm_feasible(rows, n)
 
-    def separated_by(self, t1: Locus, t2: Locus, step: Step) -> bool:
-        """Did blowing up `step` provably separate the strict transforms?
+    def separated_by(self, t1: Locus, t2: Locus, step: Face) -> bool:
+        """Did `step`'s blowup provably separate the strict transforms?
 
         Requires the joint locus to be contained in the center (with
         neither locus swallowed whole), every interior direction of the
         center to be pinned by the joint merge data, and no fibre point
         of both cones to survive over the front face.  The conditions
-        are pure, so they run cheapest first: labels, merges, the reach
+        are pure, so they run cheapest first: names, merges, the reach
         of the joint faces (a bitmask bound on the joint closure), the
         joint closure, then each locus's closure and the fibre witness.
         """
         C = step.center
-        if step.label in t1.faces or step.label in t2.faces:
+        if step.name in t1.faces or step.name in t2.faces:
             return False
         if not C.merge.leq(self.canon_merge(t1).join(self.canon_merge(t2))):
             return False
@@ -663,7 +663,7 @@ class BMap:
     domain: Space
     codomain: Space
     rows: dict                     # dom_face -> ((cod_face, e), ...) nonzeros
-    step: Optional[Step] = None
+    step: Optional[Face] = None    # front face of a single blowdown
 
     @property
     def domain_faces(self):
@@ -754,15 +754,10 @@ def product_space(n_factors: int, dims, name: str = "",
     faces = tuple(
         Face(fn, -1, 0, ((("x", i), 1),), Merge.trivial())
         for i, fn in enumerate(face_names, start=1))
-    strata = frozenset({(1 << n_factors) - 1})
-    levels = [l for l, _ in all_dims]
-    dmeets = []
-    for r in range(2, n_factors + 1):
-        for s in itertools.combinations(range(1, n_factors + 1), r):
-            for l in levels:
-                dmeets.append(((frozenset(s), l), (1 << n_factors) - 1))
+    full = (1 << n_factors) - 1
+    keys = _diag_keys(n_factors, tuple(l for l, _ in all_dims))
     return Space(name or f"product^{n_factors}", n_factors, all_dims,
-                 faces, strata, tuple(dmeets), ())
+                 faces, frozenset({full}), (full,) * len(keys), ())
 
 
 def _corner_cut_pairs(space: Space, center: Locus) -> list:
@@ -817,12 +812,12 @@ def blowup_weights(space: Space, orders=None, dims=None) -> dict:
     for a corner) takes order a_l, and its rank is recounted in dims.
     """
     w = dict.fromkeys(space.face_names, Fraction(0))
-    for st in space.history:
-        a, m = st.order, st.rank
+    for ff in space.history:
+        a, m = ff.order, ff.rank
         if orders is not None:
-            a = orders[max(st.center.merge.levels(), default=-1) + 1]
-            m = center_rank(space, st.center, dims)
-        w[st.label] = sum((w[h] for h in st.center.faces), a * m)
+            a = orders[max(ff.center.merge.levels(), default=-1) + 1]
+            m = center_rank(space, ff.center, dims)
+        w[ff.name] = sum((w[h] for h in ff.center.faces), a * m)
     return w
 
 
@@ -845,6 +840,15 @@ def _all_symbols(n_factors: int, levels: tuple) -> tuple:
     for p in itertools.combinations(range(1, n_factors + 1), 2):
         syms += [("d", l, _pair(p)) for l in levels]
     return tuple(sorted(syms, key=_symkey))
+
+
+@functools.lru_cache(maxsize=64)
+def _diag_keys(n_factors: int, levels: tuple) -> dict:
+    """Position in `diag_meets` of each tracked (factors, level) key."""
+    keys = ((frozenset(s), l) for r in range(2, n_factors + 1)
+            for s in itertools.combinations(range(1, n_factors + 1), r)
+            for l in levels)
+    return {key: k for k, key in enumerate(keys)}
 
 
 def _new_strata(space: Space, center: Locus) -> frozenset:
@@ -890,8 +894,8 @@ def blowup(space: Space, center, a: int, label: str = ""):
     else:
         c, defined = center, INF
     if not label:
-        label = f"ff{len(space.history)}"
-    if a < 1:
+        label = f"ff{len(space._hist)}"
+    if type(a) is not int or a < 1:
         raise BlowupError("blowup order must be a positive integer")
     if defined != INF and defined < a:
         raise BlowupError(
@@ -918,7 +922,6 @@ def blowup(space: Space, center, a: int, label: str = ""):
         raise BlowupError(f"face name {label} already in use")
 
     cmask, ffbit = space._mask(c.faces), 1 << len(space.faces)
-    step = Step(label, c, a, center_rank(space, c), (ffbit, cmask, c.merge))
     face_merged = space._faces_merged(c.faces)
     vals = []
     for s in _all_symbols(space.n_factors, space.levels):
@@ -927,8 +930,9 @@ def blowup(space: Space, center, a: int, label: str = ""):
             o += a
         if o:
             vals.append((s, o))
-    ff = Face(label, len(space.history), a, tuple(vals),
-              merged_of_new_face(space, c), c)
+    ff = Face(label, len(space._hist), a, tuple(vals),
+              merged_of_new_face(space, c), c, center_rank(space, c),
+              (ffbit, cmask, c.merge))
 
     strata = _new_strata(space, c)
 
@@ -937,27 +941,26 @@ def blowup(space: Space, center, a: int, label: str = ""):
                  for k, f in enumerate(space.faces)
                  if not cmask & ~space._reach(1 << k)}
     new_dmeets = []
-    for key, ms in space.diag_meets:
+    for key, ms in zip(_diag_keys(space.n_factors, space.levels),
+                       space.diag_meets):
         dloc = _tracked_diag(key)
         out = ms
         for bit, h in separable.items():
-            if ms & bit and space.separated_by(dloc, h, step):
+            if ms & bit and space.separated_by(dloc, h, ff):
                 out &= ~bit
         if not cmask & ~ms and not space.disjoint(dloc, c):
             out |= ffbit
-        new_dmeets.append((key, out))
+        new_dmeets.append(out)
 
-    lifted = ((name, _lift(space, ps, step)) for name, ps in space.registry)
+    lifted = ((name, _lift(space, ps, ff)) for name, ps in space.registry)
     new_reg = tuple((name, ps) for name, ps in lifted if ps is not None)
 
     new = Space(space.name, space.n_factors, space.dims,
-                space.faces + (ff,), strata, tuple(new_dmeets),
-                new_reg, space.history + (step,))
+                space.faces + (ff,), strata, tuple(new_dmeets), new_reg)
 
     entries = [(f.name, f.name, 1) for f in space.faces]
     entries += [(label, h, 1) for h in sorted(c.faces)]
-    beta = bmap_from_entries(new, space, entries, step)
-    return new, beta
+    return new, bmap_from_entries(new, space, entries, ff)
 
 
 def register(space: Space, name: str, psub: PSub) -> Space:
@@ -968,19 +971,19 @@ def register(space: Space, name: str, psub: PSub) -> Space:
     return replace(space, registry=space.registry + ((name, psub),))
 
 
-def _lift(old: Space, S: PSub, step: Step) -> Optional[PSub]:
+def _lift(old: Space, S: PSub, ff: Face) -> Optional[PSub]:
     """Lift of S through one blowup of `old`; None when it is fully resolved.
 
     Either S is contained in the blown-up center (lift lives in the
     front face, definedness order drops by the blowup order) or S closes
     up off the center (strict transform, unchanged).
     """
-    c, a = step.center, step.order
+    c, a = ff.center, ff.order
     if not old.locus_contained_in(S.locus, c):
         return S
     if S.order != INF and S.order <= a:
         return None
-    lifted = Locus((S.locus.faces - c.faces) | {step.label}, S.locus.merge)
+    lifted = Locus((S.locus.faces - c.faces) | {ff.name}, S.locus.merge)
     return PSub(lifted, S.order if S.order == INF else S.order - a)
 
 
@@ -1072,6 +1075,11 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
     """
     es = seq.entries
     p = position
+    span = {1: 2, 2: 2, 3: 3}.get(rule)
+    if span is None:
+        raise ValueError("rule must be 1, 2 or 3")
+    if not 0 <= p <= len(es) - span:
+        raise RewriteError(f"rule {rule} needs {span} entries at {p}")
     if rule == 1:
         y, w = es[p], es[p + 1]
         if y.label in w.faces:
@@ -1129,8 +1137,6 @@ def rewrite_step(seq: BlowupSeq, rule: int, position: int) -> BlowupSeq:
         y_new = CenterExpr(y_e.label, y_e.faces, y_e.merge, y_e.order,
                            pure=y_e.pure)
         return BlowupSeq(seq.base, es[:p] + (w_e, a_new, y_new) + es[p + 3:])
-
-    raise ValueError("rule must be 1, 2 or 3")
 
 
 def bubble_to(seq: BlowupSeq, label: str, target: int) -> BlowupSeq:

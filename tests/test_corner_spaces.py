@@ -67,6 +67,13 @@ def test_blowup_rejects_bad_centers():
         blowup(new, corner("x1", "x2"), 1, "ff2")  # resolved corner
 
 
+@pytest.mark.parametrize("order", [1.5, 2.0, True, 0])
+def test_blowup_order_must_be_a_positive_int(order):
+    # a float order would give the front face inexact valuations
+    with pytest.raises(cs.BlowupError, match="positive integer"):
+        blowup(quadrant(), corner("x1", "x2"), order, "ff")
+
+
 def test_registered_center_order_deficit():
     sp = quadrant()
     sp = register(sp, "c", PSub(corner("x1", "x2"), order=1))
@@ -165,6 +172,29 @@ def test_rewrite_rule2_nested():
     B = replay(out)
     bij = isomorphic(A, B)
     assert bij == {f: f for f in A.face_names}
+
+
+def _stage_x_seq():
+    from qhcalc import a_spaces as asp
+    return asp.symmetric_triple_seq(asp.CANONICAL_TOWER, "x")
+
+
+@pytest.mark.parametrize("past_end", [False, True])
+@pytest.mark.parametrize("rule, span", [(1, 2), (2, 2), (3, 3)])
+def test_rewrite_rejects_positions_outside_the_sequence(rule, span, past_end):
+    # a position of -1 must not wrap round to the last entries
+    seq = _stage_x_seq()
+    p = len(seq.entries) - span + 1 if past_end else -1
+    with pytest.raises(cs.RewriteError, match=f"needs {span} entries"):
+        rewrite_step(seq, rule, p)
+
+
+def test_bubble_to_rejects_targets_outside_the_sequence():
+    seq = _stage_x_seq()
+    for label, target in ((seq.entries[0].label, -1),
+                          (seq.entries[-1].label, len(seq.entries))):
+        with pytest.raises(cs.RewriteError, match="needs 2 entries"):
+            bubble_to(seq, label, target)
 
 
 def test_rewrite_preserves_space_across_script():
@@ -507,6 +537,30 @@ def test_replay_memo_keeps_one_space_per_prefix():
         assert all(a is b for a, b in zip(prev._hist, new._hist))
 
 
+def test_front_faces_are_the_step_records():
+    # a front face carries its step's rank and `_hist` entry; the meet
+    # sets are one int per key, and every prefix of a shape reads the
+    # same key map
+    from qhcalc import a_spaces as asp
+    ranks = set()
+    for seq in (asp.symmetric_triple_seq(asp.CANONICAL_TOWER),
+                asp.commuted_triple_seq(asp.CANONICAL_TOWER)):
+        keys = cs._diag_keys(seq.base.n_factors, seq.base.levels)
+        for S in _replayed_spaces(seq):
+            fronts = [(k, f) for k, f in enumerate(S.faces) if f.is_front]
+            assert S.history == tuple(f for _, f in fronts)
+            assert [f.step for f in S.history] == list(range(len(fronts)))
+            for k, f in fronts:
+                assert f.rank == cs.center_rank(S, f.center)
+                assert f.hist == (1 << k, S._mask(f.center.faces),
+                                  f.center.merge)
+                ranks.add(f.rank)
+            assert cs._diag_keys(S.n_factors, S.levels) is keys
+            assert len(S.diag_meets) == len(keys)
+            assert all(type(m) is int for m in S.diag_meets)
+    assert ranks > {0}
+
+
 def test_reach_bounds_every_closure(monkeypatch):
     # every closure the unscreened engine computes in a cold verify lies
     # inside the reach of the locus's faces
@@ -549,17 +603,20 @@ def test_screened_diag_meets_match_plain_loop(monkeypatch):
                                     for seq in _depth4_sequences()]
     _unscreened(monkeypatch)
 
+    def named_meets(space):
+        keys = cs._diag_keys(space.n_factors, space.levels)
+        return {key: frozenset(space._names(m))
+                for key, m in zip(keys, space.diag_meets)}
+
     @cs._memo_scope
-    def plain_diag_meets(space, step):
+    def plain_diag_meets(space, ff):
         out = {}
-        for key, m in space.diag_meets:
-            ms = frozenset(space._names(m))
+        for key, ms in named_meets(space).items():
             dloc = diag_locus(*key)
             met = {h for h in ms if not space.separated_by(
-                dloc, Locus(frozenset({h})), step)}
-            if step.center.faces <= ms and not space.disjoint(dloc,
-                                                              step.center):
-                met.add(step.label)
+                dloc, Locus(frozenset({h})), ff)}
+            if ff.center.faces <= ms and not space.disjoint(dloc, ff.center):
+                met.add(ff.name)
             out[key] = frozenset(met)
         return out
 
@@ -567,10 +624,9 @@ def test_screened_diag_meets_match_plain_loop(monkeypatch):
         dropped = 0
         for prev, new in zip(spaces, spaces[1:]):
             want = plain_diag_meets(prev, new.history[-1])
-            assert {key: frozenset(new._names(m))
-                    for key, m in new.diag_meets} == want
-            dropped += sum(len(frozenset(prev._names(prev._tracked[key]))
-                               - ms) for key, ms in want.items())
+            assert named_meets(new) == want
+            old = named_meets(prev)
+            dropped += sum(len(old[key] - ms) for key, ms in want.items())
         assert dropped > 0      # some step separates a diagonal from a face
 
 
@@ -641,7 +697,7 @@ def test_no_engine_query_needs_a_history_rescan(monkeypatch):
         out = disjoint(space, t1, t2)
         answers.append(out)
         if not out and _rescan_separates(space, t1, t2):
-            missed.append((space.history[-1].label, t1, t2))
+            missed.append((space.history[-1].name, t1, t2))
         return out
 
     monkeypatch.setattr(cs.Space, "disjoint", guarded)

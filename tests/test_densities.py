@@ -155,7 +155,7 @@ def unit_tower(k: int) -> Tower:
 def _combinatorics(space):
     """What a re-weighting reads of a replay, apart from orders and
     dimensions: step labels and centers, face merges and strata."""
-    return (tuple((st.label, st.center) for st in space.history),
+    return (tuple((f.name, f.center) for f in space.history),
             tuple((f.name, f.merged) for f in space.faces), space.strata)
 
 

@@ -174,12 +174,13 @@ def _space_state(S: cs.Space) -> dict:
         "faces": [[f.name, f.step, f.order, _plain(f.v), _plain(f.merged),
                    _plain(f.center)] for f in S.faces],
         "strata": _plain({frozenset(S._names(m)) for m in S.strata}),
-        "diag_meets": _plain([(key, frozenset(S._names(m)))
-                              for key, m in S.diag_meets]),
+        "diag_meets": _plain([(key, frozenset(S._names(m))) for key, m in
+                              zip(cs._diag_keys(S.n_factors, S.levels),
+                                  S.diag_meets)]),
         "registry": [[n, _plain(p.locus), _plain(p.order)]
                      for n, p in S.registry],
-        "history": [[st.label, _plain(st.center), st.order, st.rank]
-                    for st in S.history]}
+        "history": [[f.name, _plain(f.center), f.order, f.rank]
+                    for f in S.history]}
 
 
 def _engine_state(tower: str) -> str:
