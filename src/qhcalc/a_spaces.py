@@ -226,7 +226,10 @@ def _relabel_name(name: str, sigma: dict) -> str:
 
 
 def relabel_seq(seq: BlowupSeq, i: int) -> BlowupSeq:
-    """Apply the factor transposition that turns projection 1 into i."""
+    """Apply the factor transposition that turns projection 1 into i;
+    for projection 1 it is the identity and the sequence comes back."""
+    if i == 1:
+        return seq
     sigma = _SIGMA[i]
     out = []
     for e in seq.entries:

@@ -7,16 +7,18 @@ exponent.  We store only the finite antichain of maximal generators;
 every query expands the closure lazily.  All exponents are Gaussian
 rationals, so every comparison in this module is exact.
 
-Points interact only within an integer coset z + Z.  The kernels work
-on a transient coset form {(Im num, Im den, r, d): [(q, p), ...]}, real
-part q + r/d with 0 <= r < d, so their arithmetic is on ints: ``_sum``
-adds two coset keys once, then integer parts and log powers.  Within a
-coset the closure is a count per real part, a point (z, p) counting
-p + 1, and under the extended union the counts add: ``_sweep`` passes
-each coset once over all its arguments, each shifted inside the sweep,
-and keeps the terms where the total rises; one set swept alone is its
-antichain.  ``normalize``, ``add``, ``ext_union_many`` and ``shift``
-wrap the two kernels and build IndexTerms only for their results.
+Points interact only within an integer coset z + Z, so an ``IndexSet``
+stores its antichain in coset normal form {(Im num, Im den, r, d):
+[(q, p), ...]}, real part q + r/d with 0 <= r < d and q rising, and the
+kernels work on that form with ints: ``_sum`` adds two coset keys once,
+then integer parts and log powers.  Within a coset the closure is a
+count per real part, a point (z, p) counting p + 1, and under the
+extended union the counts add: ``_sweep`` passes each coset once over
+all its arguments, each shifted inside the sweep, and keeps the terms
+where the total rises; one set swept alone is its antichain.  Equality,
+hashing, emptiness, ``add``, ``ext_union_many``, ``shift`` and
+``contains`` read the stored form and build no ``IndexTerm``; the
+``generators`` view is built on first read and kept.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -71,9 +74,11 @@ class CxRat:
     __rmul__ = __mul__
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+        return _cx_str(self.re, self.im)
+
+
+def _cx_str(re: Fraction, im: Fraction) -> str:
+    return str(re) if im == 0 else f"{re}{'+' if im >= 0 else ''}{im}i"
 
 
 def cx(re, im=0) -> CxRat:
@@ -100,22 +105,54 @@ def term(re, im=0, p=0) -> IndexTerm:
     return IndexTerm(cx(re, im), p)
 
 
-@dataclass(frozen=True)
 class IndexSet:
-    """Closure of a finite generator set, stored as an antichain.
+    """Closure of a finite generator set, stored as an antichain in coset
+    normal form.
 
-    The empty generator set is the empty index set; gen {(0,0)} is the
-    index set of smooth functions.
+    ``IndexSet(terms)`` normalizes its terms; the kernels wrap a
+    ``_sweep`` output as it is with ``_of``.  The empty generator set is
+    the empty index set; gen {(0,0)} is the index set of smooth
+    functions.
     """
 
-    generators: frozenset
+    def __init__(self, generators: Iterable[IndexTerm]):
+        self._form = _sweep([(_cosets(generators), 0, 0)])
+
+    @classmethod
+    def _of(cls, form: dict) -> "IndexSet":
+        G = cls.__new__(cls)
+        G._form = form
+        return G
+
+    @cached_property
+    def generators(self) -> frozenset:
+        """The antichain as IndexTerms, built on first read."""
+        return frozenset(IndexTerm(CxRat(re, im), p)
+                         for re, im, p in self._points())
+
+    def _points(self) -> list:
+        """(Re, Im, p) of each generator, sorted."""
+        return sorted((Fraction(q * d + r, d), Fraction(a, b), p)
+                      for (a, b, r, d), qps in self._form.items()
+                      for q, p in qps)
+
+    def __eq__(self, other):
+        if not isinstance(other, IndexSet):
+            return NotImplemented
+        return self._form == other._form
+
+    def __hash__(self):
+        return hash(frozenset((k, tuple(v)) for k, v in self._form.items()))
+
+    def __repr__(self):
+        return f"IndexSet({self})"
 
     def __bool__(self):
-        return bool(self.generators)
+        return bool(self._form)
 
     @property
     def is_empty(self) -> bool:
-        return not self.generators
+        return not self._form
 
     def sorted_generators(self) -> list:
         return sorted(self.generators,
@@ -124,11 +161,8 @@ class IndexSet:
     def __str__(self):
         if self.is_empty:
             return "empty"
-        return "{" + ", ".join(f"({t.z},{t.p})" for t in self.sorted_generators()) + "}"
-
-
-EMPTY = IndexSet(frozenset())
-SMOOTH = IndexSet(frozenset({term(0)}))
+        return "{" + ", ".join(f"({_cx_str(re, im)},{p})"
+                               for re, im, p in self._points()) + "}"
 
 
 def _rat_add(a: int, b: int, c: int, d: int) -> tuple:
@@ -154,16 +188,6 @@ def _cosets(terms: Iterable[IndexTerm]) -> dict:
         out.setdefault((im.numerator, im.denominator, r, re.denominator),
                        []).append((q, t.p))
     return out
-
-
-def _indexset(cosets: dict) -> IndexSet:
-    """The index set generated by a coset form."""
-    out = []
-    for (a, b, r, d), qps in cosets.items():
-        im = Fraction(a, b)
-        out.extend(IndexTerm(CxRat(Fraction(q * d + r, d), im), p)
-                   for q, p in qps)
-    return IndexSet(frozenset(out))
 
 
 def _sum(A: dict, B: dict) -> dict:
@@ -209,9 +233,13 @@ def _sweep(parts: Sequence[tuple]) -> dict:
     return out
 
 
+EMPTY = IndexSet(frozenset())
+SMOOTH = IndexSet(frozenset({term(0)}))
+
+
 def normalize(terms: Iterable[IndexTerm]) -> IndexSet:
     """Antichain of maximal generators; closure-equal inputs agree."""
-    return _indexset(_sweep([(_cosets(terms), 0, 0)]))
+    return IndexSet(terms)
 
 
 def make(*pairs) -> IndexSet:
@@ -226,24 +254,36 @@ def make(*pairs) -> IndexSet:
 
 
 def contains(G: IndexSet, t: IndexTerm) -> bool:
-    """Membership of (z, p) in the closure of G: a generator on its coset
-    at or below its real part with at least its log power."""
-    [(key, [(q, p)])] = _cosets([t]).items()
-    return any(s <= q and u >= p
-               for s, u in _cosets(G.generators).get(key, ()))
+    """Membership of (z, p) in the closure of G."""
+    return _within(_cosets([t]), G)
+
+
+def _within(C: dict, G: IndexSet) -> bool:
+    """Every point of the coset form C lies in the closure of G: a
+    generator on its coset at or below its real part with at least its
+    log power."""
+    return all(any(s <= q and u >= p for s, u in G._form.get(key, ()))
+               for key, qps in C.items() for q, p in qps)
+
+
+def _inf(G: IndexSet) -> tuple:
+    """Least real part of a nonempty set, as (numerator, denominator)."""
+    best = None
+    for (_, _, r, d), qps in G._form.items():
+        n = qps[0][0] * d + r
+        if best is None or n * best[1] < best[0] * d:
+            best = n, d
+    return best
 
 
 def inf_re(G: IndexSet):
     """Minimum real part over the closure (+inf for the empty set)."""
-    if G.is_empty:
-        return INF
-    return min(g.z.re for g in G.generators)
+    return INF if G.is_empty else Fraction(*_inf(G))
 
 
 def add(G: IndexSet, H: IndexSet) -> IndexSet:
     """Pairwise sums of the two closures; empty is absorbing."""
-    return _indexset(_sweep([(_sum(_cosets(G.generators),
-                                   _cosets(H.generators)), 0, 0)]))
+    return IndexSet._of(_sweep([(_sum(G._form, H._form), 0, 0)]))
 
 
 def ext_union(G: IndexSet, H: IndexSet) -> IndexSet:
@@ -259,7 +299,7 @@ def ext_union(G: IndexSet, H: IndexSet) -> IndexSet:
 
 def ext_union_many(sets: Sequence[IndexSet]) -> IndexSet:
     """Extended union of all the sets, one sweep per coset."""
-    return _indexset(_sweep([(_cosets(G.generators), 0, 0) for G in sets]))
+    return IndexSet._of(_sweep([(G._form, 0, 0) for G in sets]))
 
 
 def shift(G: IndexSet, w) -> IndexSet:
@@ -267,7 +307,7 @@ def shift(G: IndexSet, w) -> IndexSet:
     if w == INF:
         return EMPTY
     w = _as_fraction(w)
-    return _indexset(_sweep([(_cosets(G.generators), w, 0)])) if w else G
+    return IndexSet._of(_sweep([(G._form, w, 0)])) if w else G
 
 
 def divide(G: IndexSet, e: int) -> IndexSet:
@@ -467,8 +507,7 @@ def _frac_str(x: Fraction) -> str:
 
 
 def indexset_to_json(G: IndexSet) -> list:
-    return [[_frac_str(t.z.re), _frac_str(t.z.im), t.p]
-            for t in G.sorted_generators()]
+    return [[_frac_str(re), _frac_str(im), p] for re, im, p in G._points()]
 
 
 def indexset_from_json(data) -> IndexSet:

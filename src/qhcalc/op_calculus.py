@@ -7,12 +7,12 @@ weight vector, push forward along the middle projection, and shift back
 by the double-space weights.  ``composition_plan`` derives that pipeline
 once from the closed face-table rule of the triple projections, so
 ``compose`` runs one sum per distinct pair of factor faces and one
-shifted extended union per double face.  These intermediates stay in
-the integer coset form of ``index_algebra``; only the five output sets
-become ``IndexSet``s.  The full pullback and pushforward pipeline along
-the replayed projections is kept as the test oracle for the plan.  The
-deepest-face closed form, the mapping rule for polyhomogeneous inputs,
-adjoints, conjugation, the parametrix remainder ledger and the
+shifted extended union per double face.  Both read and write the coset
+forms that ``IndexSet``s store, so ``compose``, ``act`` and the ledger
+build no ``IndexTerm``.  The full pullback and pushforward pipeline
+along the replayed projections is kept as the test oracle for the plan.
+The deepest-face closed form, the mapping rule for polyhomogeneous
+inputs, adjoints, conjugation, the parametrix remainder ledger and the
 compactness thresholds are all stated at this class level.  Nothing
 here loads the corner engine, and the closed-form weights are imported
 only past the depth and integrability checks.
@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import index_algebra as ia
-from .index_algebra import (EMPTY, INF, SMOOTH, IndexFamily, IndexSet, add,
-                            ext_union_many, family, inf_re, make, shift)
+from .index_algebra import (INF, SMOOTH, IndexFamily, IndexSet, add,
+                            ext_union_many, family, inf_re, shift)
 from .tower import (Tower, double_face_names, facemap_rule, require_depth_2,
                     triple_face_names)
 
@@ -74,8 +74,8 @@ def small(t: Tower, m, c) -> OperatorClass:
     everywhere (kernels vanishing to infinite order at every face).
     """
     order = m if m == NEG_INF else Fraction(m)
-    ffz = EMPTY if c == INF else make((Fraction(c), 0))
-    return OperatorClass(order, family(DOUBLE_FACES, ff_z=ffz), t)
+    return OperatorClass(order, family(DOUBLE_FACES, ff_z=shift(SMOOTH, c)),
+                         t)
 
 
 def op_class(t: Tower, m, **sets) -> OperatorClass:
@@ -98,8 +98,10 @@ def _composition_tower(P: OperatorClass, Q: OperatorClass) -> Tower:
 
 def _require_integrable(G: IndexSet, H: IndexSet, where: str) -> None:
     """Strict integrability: inf Re of G + H must be positive."""
-    if inf_re(G) + inf_re(H) <= 0:
-        raise NonIntegrable([where])
+    if G and H:
+        (a, b), (c, d) = ia._inf(G), ia._inf(H)
+        if a * d + c * b <= 0:
+            raise NonIntegrable([where])
 
 
 @lru_cache(maxsize=1)
@@ -129,11 +131,10 @@ def composition_plan() -> tuple:
 def compose(P: OperatorClass, Q: OperatorClass) -> OperatorClass:
     """Class of the composite operator via the compiled triple-space plan.
 
-    The pair sums and the shifted sweeps stay in coset form; only the
-    five output index sets become ``IndexSet``s.  Requires inf Re of P
-    at the right face plus Q at the left face to be strictly positive;
-    the same condition surfaces as a pushforward violation at the face
-    projecting onto the whole double space.
+    The pair sums and the shifted sweeps run on the stored coset forms.
+    Requires inf Re of P at the right face plus Q at the left face to be
+    strictly positive; the same condition surfaces as a pushforward
+    violation at the face projecting onto the whole double space.
     """
     t = _composition_tower(P, Q)
     _require_integrable(P.family["rf"], Q.family["lf"], "rf/lf")
@@ -144,15 +145,13 @@ def compose(P: OperatorClass, Q: OperatorClass) -> OperatorClass:
         P.family[f] for f in pf] + [Q.family[f] for f in qf])) <= 0]
     if violations:
         raise NonIntegrable(violations)
-    cP, cQ = ({f: ia._cosets(X.family[f].generators) for f in DOUBLE_FACES}
-              for X in (P, Q))
     sums = {}
     for pf, qf in pairs:
-        sets = [cP[f] for f in pf] + [cQ[f] for f in qf]
-        sums[pf, qf] = (reduce(ia._sum, sets) if sets
-                        else ia._cosets(SMOOTH.generators))
+        sets = ([P.family[f]._form for f in pf]
+                + [Q.family[f]._form for f in qf])
+        sums[pf, qf] = reduce(ia._sum, sets) if sets else SMOOTH._form
     W, w = W_a.assignment, dn.double_weights(t).w_a.assignment
-    K = {h: ia._indexset(ia._sweep([(sums[pq], W.get(g, 0), w.get(h, 0))
+    K = {h: IndexSet._of(ia._sweep([(sums[pq], W.get(g, 0), w.get(h, 0))
                                     for g, pq in terms[h]]))
          for h in DOUBLE_FACES}
     return OperatorClass(_order_sum(P.order, Q.order),
@@ -184,10 +183,9 @@ def act(P: OperatorClass, I: IndexSet) -> IndexSet:
     strictly positive.
     """
     _require_integrable(P.family["rf"], I, "rf")
-    J, cI = P.family, ia._cosets(I.generators)
-    return ia._indexset(ia._sweep([(ia._cosets(J["lf"].generators), 0, 0)] + [
-        (ia._sum(ia._cosets(J[f].generators), cI), 0, 0)
-        for f in DOUBLE_FACES[2:]]))
+    J = P.family
+    return IndexSet._of(ia._sweep([(J["lf"]._form, 0, 0)] + [
+        (ia._sum(J[f]._form, I._form), 0, 0) for f in DOUBLE_FACES[2:]]))
 
 
 def adjoint(P: OperatorClass) -> OperatorClass:
@@ -242,15 +240,8 @@ class Ledger:
 
 def _contained_small(P: OperatorClass, c) -> bool:
     """Class contained in the small class with boundary weight c."""
-    if any(not P.family[f].is_empty for f in DOUBLE_FACES[:-1]):
-        return False
-    target = EMPTY if c == INF else make((Fraction(c), 0))
-    got = P.family["ff_z"]
-    if got.is_empty:
-        return True
-    if c == INF:
-        return False
-    return all(ia.contains(target, g) for g in got.generators)
+    return P.is_small and ia._within(P.family["ff_z"]._form,
+                                     shift(SMOOTH, c))
 
 
 def parametrix_ledger(t: Tower, m) -> Ledger:

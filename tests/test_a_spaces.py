@@ -335,6 +335,20 @@ def test_projection_rows_equal_composed_blowdowns(t):
                 want.codomain.face_names
 
 
+@pytest.mark.parametrize("t", [
+    Tower(0, (1,), 1, ()), Tower(1, (1, 2), 0, (1,)),
+    Tower(2, (1, 3, 1), 1, (1, 1)), Tower(3, (1, 1, 2, 1), 1, (1, 0, 1))],
+    ids=["depth-0", "depth-1", "depth-2", "depth-3"])
+def test_relabel_for_projection_one_returns_the_sequence(t):
+    # the index-1 transposition is the identity: the sequence itself
+    # comes back, equal to the entry-by-entry rebuild that two equal
+    # transpositions make
+    seq = asp.commuted_triple_seq(t, asp.stage_name(t.k))
+    assert asp.relabel_seq(seq, 1) is seq
+    for i in (2, 3):
+        assert asp.relabel_seq(asp.relabel_seq(seq, i), i) == seq
+
+
 def test_projection_equals_blowdown_composition():
     # the stored projection agrees with explicitly composing the three
     # blowdown maps with the factor projection

@@ -430,3 +430,36 @@ def test_compose_and_act_build_no_intermediate_index_set(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     assert oc.compose(P, Q) == R
     assert oc.act(P, I) == image
+
+
+def test_compose_act_and_ledger_build_no_index_term(monkeypatch):
+    # the kernels read and write the stored coset forms: with the term
+    # constructors disabled, seeded calls answer as they do with them
+    rng = random.Random(37)
+    calls = []
+    for _ in range(30):
+        t = Tower(2, (1, rng.randint(1, 3), rng.randint(1, 3)),
+                  rng.randint(0, 3), (rng.randint(0, 3), rng.randint(0, 3)))
+        P, Q = rand_full_class(rng, t), rand_full_class(rng, t)
+        calls += [(oc.compose, P, Q), (oc.act, P, rand_face_set(rng))]
+    calls += [(oc.parametrix_ledger, t, m) for m in (1, Fraction(5, 2))]
+
+    def answers():
+        out = []
+        for fn, *args in calls:
+            try:
+                out.append(fn(*args))
+            except oc.NonIntegrable as e:
+                out.append(e.faces)
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an IndexTerm was built")
+    with monkeypatch.context() as m:
+        m.setattr(ia, "IndexTerm", refuse)
+        m.setattr(ia, "CxRat", refuse)
+        got = answers()
+    assert got == answers()
+    kinds = Counter(type(x).__name__ for x in got)
+    assert kinds["OperatorClass"] and kinds["IndexSet"] and kinds["tuple"]
+    assert kinds["Ledger"] == 2 and all(led.verify() for led in got[-2:])
