@@ -37,7 +37,7 @@ terms = st.builds(
     st.integers(-3, 3), st.sampled_from((1, 2, 3)),
     st.sampled_from((0, 0, 1, -1, Fraction(1, 2))), st.integers(0, 3))
 # raw generator lists: closures are well defined without an antichain
-raw_sets = st.lists(terms, max_size=4)
+raw_lists = st.lists(terms, max_size=4)
 shifts = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
 
 
@@ -103,7 +103,7 @@ def test_normalize_matches_quadratic_scan(ts):
 
 
 @PROPS
-@given(st.lists(raw_sets, min_size=1, max_size=5))
+@given(st.lists(raw_lists, min_size=1, max_size=5))
 def test_ext_union_many_matches_window_fold_and_pairwise_fold(tss):
     got = swept([(ts, 0, 0) for ts in tss])
     assert got.generators == quadratic_normalize(got.generators)
@@ -113,7 +113,7 @@ def test_ext_union_many_matches_window_fold_and_pairwise_fold(tss):
 
 
 @PROPS
-@given(st.lists(st.tuples(raw_sets, shifts, shifts), min_size=1, max_size=4))
+@given(st.lists(st.tuples(raw_lists, shifts, shifts), min_size=1, max_size=4))
 def test_shifted_sweep_matches_window_fold_of_shifted_sets(parts):
     # each part (ts, a, b) is swept shifted by a - b
     got = swept(parts)
@@ -123,7 +123,7 @@ def test_shifted_sweep_matches_window_fold_of_shifted_sets(parts):
 
 
 @PROPS
-@given(raw_sets, shifts)
+@given(raw_lists, shifts)
 def test_shift_moves_the_closure_and_zero_keeps_the_set(ts, w):
     G = IndexSet(frozenset(ts))
     assert window(shift(G, w)) == raw_window(shifted(ts, w))
@@ -132,7 +132,7 @@ def test_shift_moves_the_closure_and_zero_keeps_the_set(ts, w):
 
 
 @PROPS
-@given(raw_sets, raw_sets, st.integers(1, 3))
+@given(raw_lists, raw_lists, st.integers(1, 3))
 def test_add_and_divide_match_window_oracles(ts, us, e):
     G, H = IndexSet(frozenset(ts)), IndexSet(frozenset(us))
     got = add(G, H)
@@ -144,7 +144,7 @@ def test_add_and_divide_match_window_oracles(ts, us, e):
 
 
 @PROPS
-@given(raw_sets, raw_sets, terms)
+@given(raw_lists, raw_lists, terms)
 @example([], [], IndexTerm(cx(0), 0))
 def test_stored_form_readers_match_generators_and_windows(ts, us, t):
     G, H = IndexSet(frozenset(ts)), IndexSet(frozenset(us))
@@ -166,7 +166,7 @@ DOM, COD = ("a", "b", "c", "d"), ("x", "y")
 
 @PROPS
 @given(st.lists(st.integers(0, 2), min_size=8, max_size=8),
-       st.lists(raw_sets, min_size=4, max_size=4))
+       st.lists(raw_lists, min_size=4, max_size=4))
 def test_pushforward_matches_window_oracle(exps, tss):
     f = StubMap(DOM, COD, {(g, h): exps[2 * i + j]
                            for i, g in enumerate(DOM)
